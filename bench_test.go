@@ -117,17 +117,6 @@ func BenchmarkReduceSubstrateMesh(b *testing.B) {
 	}
 }
 
-// BenchmarkOrderingMinDegree times minimum-degree ordering of the
-// substrate mesh internal block.
-func BenchmarkOrderingMinDegree(b *testing.B) {
-	sys := meshSystem(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		order.MinDegree(sys.D)
-	}
-}
-
 // BenchmarkSymbolicAndFactor times analysis plus numeric Cholesky of the
 // mesh internal conductance block.
 func BenchmarkSymbolicAndFactor(b *testing.B) {

@@ -113,11 +113,11 @@ func measure(op func() error, benchtime time.Duration) (nsPerOp, allocsPerOp, by
 }
 
 // benchCases builds the benchmark set. "kernels" covers the parallelized
-// primitives (fast enough for a CI smoke run), "factor" the supernodal-
-// versus-up-looking comparison on a mesh at the paper's full-chip scale
-// (seconds per iteration), "scale" the DAG-versus-level schedule rows on
-// a 100k-node power grid, and "all" is everything plus end-to-end
-// experiment regenerations.
+// primitives (fast enough for a CI smoke run), "factor" the supernodal
+// factorization, solves and dense micro-kernels on a mesh at the paper's
+// full-chip scale (seconds per iteration), "scale" the DAG-scheduled
+// factorization of a 100k-node power grid at GOMAXPROCS 1/2/4/8, and
+// "all" is everything plus end-to-end experiment regenerations.
 func benchCases(set string) ([]benchCase, error) {
 	var cases []benchCase
 	if set == "kernels" || set == "all" {
@@ -184,20 +184,16 @@ func kernelCases() ([]benchCase, error) {
 	}
 
 	// Factorization/solve kernels on the permuted internal conductance
-	// block of the same mesh: supernodal and up-looking factor the
-	// identical reordered matrix, and the solve pair runs the same 25
+	// block of the same mesh (1496 internal nodes, so the analysis picks
+	// the supernodal kernel); the solve pair runs the same 25
 	// right-hand sides blocked versus one column at a time.
 	sym := order.Analyze(sys.D, order.MinimumDegree)
 	dperm := sys.D.PermuteSym(sym.Perm)
-	ss, err := chol.AnalyzeSuper(dperm, sym, order.SupernodeOptions{})
+	an, err := chol.Analyze(dperm, sym)
 	if err != nil {
 		return nil, err
 	}
-	factUp, err := chol.FactorizeStrategy(dperm, sym, chol.StrategyUpLooking)
-	if err != nil {
-		return nil, err
-	}
-	factSuper, err := ss.Factorize(dperm)
+	factSuper, err := an.Factorize(dperm, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -219,13 +215,9 @@ func kernelCases() ([]benchCase, error) {
 			return nil
 		}},
 		{name: "chol.Factorize/mesh25/supernodal", op: func() error {
-			_, err := ss.Factorize(dperm)
+			_, err := an.Factorize(dperm, nil)
 			return err
-		}, flops: ss.FlopEstimate(), supernodes: ss.NSuper(), fill: ss.Fill()},
-		{name: "chol.Factorize/mesh25/uplooking", op: func() error {
-			_, err := chol.FactorizeStrategy(dperm, sym, chol.StrategyUpLooking)
-			return err
-		}, flops: factUp.FlopEstimate()},
+		}, flops: factSuper.FlopEstimate(), supernodes: factSuper.Supernodes(), fill: factSuper.AmalgamatedFill()},
 		{name: "chol.SolveMulti/mesh25x25", op: func() error {
 			copy(work, rhs)
 			factSuper.SolveMulti(work, nrhs)
@@ -257,11 +249,11 @@ func kernelCases() ([]benchCase, error) {
 	}, nil
 }
 
-// factorCases pits the supernodal kernel against the up-looking baseline
-// on a mesh large enough that blocking matters: ~20k internal nodes and
-// 64 ports, above the default dispatch threshold. Iterations take
+// factorCases times the supernodal kernel on a mesh large enough that
+// blocking matters: ~20k internal nodes and 64 ports. Iterations take
 // seconds, so these run in the "factor"/"all" sets rather than the CI
-// "kernels" smoke set.
+// "kernels" smoke set. (The up-looking comparison that sets the kernel
+// threshold is BenchmarkKernelThreshold in internal/chol.)
 func factorCases() ([]benchCase, error) {
 	deck, ports, err := netgen.Mesh3D(netgen.LargeMeshOpts(64))
 	if err != nil {
@@ -275,15 +267,11 @@ func factorCases() ([]benchCase, error) {
 	opts := core.Options{FMax: 3e9, Tol: 0.05}
 	sym := order.Analyze(sys.D, order.MinimumDegree)
 	dperm := sys.D.PermuteSym(sym.Perm)
-	ss, err := chol.AnalyzeSuper(dperm, sym, order.SupernodeOptions{})
+	an, err := chol.Analyze(dperm, sym)
 	if err != nil {
 		return nil, err
 	}
-	factUp, err := chol.FactorizeStrategy(dperm, sym, chol.StrategyUpLooking)
-	if err != nil {
-		return nil, err
-	}
-	factSuper, err := ss.Factorize(dperm)
+	factSuper, err := an.Factorize(dperm, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -315,11 +303,17 @@ func factorCases() ([]benchCase, error) {
 		}
 		return v
 	}
-	ssU, err := chol.AnalyzeSuper(pat, symU, order.SupernodeOptions{})
+	anU, err := chol.Analyze(pat, symU)
 	if err != nil {
 		return nil, err
 	}
-	factC, err := ssU.FactorizeComplex(pat, val)
+	factC, err := anU.FactorizeComplex(val, nil)
+	if err != nil {
+		return nil, err
+	}
+	// The union pattern's values are D + E, itself SPD: its real factor
+	// reports the panel statistics the complex rows share.
+	factU, err := anU.Factorize(pat, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -359,34 +353,19 @@ func factorCases() ([]benchCase, error) {
 	}
 	tsWork := make([]float64, tsH*tsW)
 
-	// The Transform1 comparison toggles the dispatch threshold so the
-	// whole first congruence (factorization plus all port solves) runs on
-	// one kernel or the other.
-	upLooking := func(op func() error) func() error {
-		return func() error {
-			old := chol.SupernodalMinOrder
-			chol.SupernodalMinOrder = int(^uint(0) >> 1)
-			defer func() { chol.SupernodalMinOrder = old }()
-			return op()
-		}
-	}
 	return []benchCase{
 		{name: "chol.Factorize/meshL/supernodal", op: func() error {
-			_, err := ss.Factorize(dperm)
+			_, err := an.Factorize(dperm, nil)
 			return err
-		}, flops: ss.FlopEstimate(), supernodes: ss.NSuper(), fill: ss.Fill()},
-		{name: "chol.Factorize/meshL/uplooking", op: func() error {
-			_, err := chol.FactorizeStrategy(dperm, sym, chol.StrategyUpLooking)
-			return err
-		}, flops: factUp.FlopEstimate()},
+		}, flops: factSuper.FlopEstimate(), supernodes: factSuper.Supernodes(), fill: factSuper.AmalgamatedFill()},
 		{name: "core.Transform1/meshL/supernodal", op: func() error {
 			_, _, err := core.Transform1(sys, opts)
 			return err
-		}, supernodes: ss.NSuper(), fill: ss.Fill()},
+		}, supernodes: factSuper.Supernodes(), fill: factSuper.AmalgamatedFill()},
 		{name: "chol.FactorizeComplex/meshL/supernodal", op: func() error {
-			_, err := ssU.FactorizeComplex(pat, val)
+			_, err := anU.FactorizeComplex(val, nil)
 			return err
-		}, flops: 4 * ssU.FlopEstimate(), supernodes: ssU.NSuper(), fill: ssU.Fill()},
+		}, flops: 4 * factU.FlopEstimate(), supernodes: factU.Supernodes(), fill: factU.AmalgamatedFill()},
 		{name: "chol.SolveMulti/meshLx64", op: func() error {
 			copy(rwork, rhs)
 			factSuper.SolveMulti(rwork, nrhs)
@@ -395,7 +374,7 @@ func factorCases() ([]benchCase, error) {
 		{name: "chol.ComplexSolveMulti/meshLx64", op: func() error {
 			copy(cwork, crhs)
 			return factC.SolveMulti(cwork, nrhs)
-		}, flops: 16 * float64(ssU.TrapNNZ()) * nrhs},
+		}, flops: 16 * float64(factU.NNZ()) * nrhs},
 		{name: "dense.RankKTrapAccum/192x48k64", op: func() error {
 			dense.RankKTrapAccum(mkC, mkH, mkW, mkA, mkH, 0, mkK)
 			return nil
@@ -409,18 +388,13 @@ func factorCases() ([]benchCase, error) {
 			dense.TrsmLLBelow(tsWork, tsH, tsW)
 			return nil
 		}, flops: float64(tsH-tsW) * float64(tsW) * float64(tsW)},
-		{name: "core.Transform1/meshL/uplooking", op: upLooking(func() error {
-			_, _, err := core.Transform1(sys, opts)
-			return err
-		})},
 	}, nil
 }
 
-// scaleCases measures the tentpole on a ≥100k-node power grid: the
-// DAG-scheduled supernodal factorization against the level-by-level
-// schedule at GOMAXPROCS 1/2/4/8 (each row's serial leg is the same
-// GOMAXPROCS=1 run, so the speedup column is the schedule's scaling
-// curve), plus the pooled-workspace re-factorization loop whose
+// scaleCases measures the DAG-scheduled supernodal factorization of a
+// ≥100k-node power grid at GOMAXPROCS 1/2/4/8 (each row's serial leg is
+// the same GOMAXPROCS=1 run, so the speedup column is the schedule's
+// scaling curve), plus the pooled-workspace re-factorization loop whose
 // allocs_per_op column pins the steady-state allocation behavior the
 // AC sweep depends on. Setup extracts and orders the mesh once;
 // iterations pay only numeric factorization.
@@ -436,33 +410,31 @@ func scaleCases() ([]benchCase, error) {
 	sys := ex.Sys
 	sym := order.Analyze(sys.D, order.MinimumDegree)
 	dperm := sys.D.PermuteSym(sym.Perm)
-	ss, err := chol.AnalyzeSuper(dperm, sym, order.SupernodeOptions{})
+	an, err := chol.Analyze(dperm, sym)
 	if err != nil {
 		return nil, err
 	}
+	f, err := an.Factorize(dperm, nil)
+	if err != nil {
+		return nil, err
+	}
+	flops, supernodes, fill := f.FlopEstimate(), f.Supernodes(), f.AmalgamatedFill()
 	var cases []benchCase
 	for _, p := range []int{1, 2, 4, 8} {
-		p := p
-		for _, s := range []struct {
-			tag   string
-			sched chol.Schedule
-		}{{"dag", chol.ScheduleDAG}, {"level", chol.ScheduleLevel}} {
-			s := s
-			ws := ss.NewWorkspace()
-			cases = append(cases, benchCase{
-				name:  fmt.Sprintf("chol.FactorizeOpt/grid100k/%s/p%d", s.tag, p),
-				procs: p,
-				op: func() error {
-					_, err := ss.FactorizeOpt(dperm, s.sched, ws)
-					return err
-				},
-				flops: ss.FlopEstimate(), supernodes: ss.NSuper(), fill: ss.Fill(),
-			})
-		}
+		ws := an.NewWorkspace()
+		cases = append(cases, benchCase{
+			name:  fmt.Sprintf("chol.Factorize/grid100k/p%d", p),
+			procs: p,
+			op: func() error {
+				_, err := an.Factorize(dperm, ws)
+				return err
+			},
+			flops: flops, supernodes: supernodes, fill: fill,
+		})
 	}
 	// The repeated-refactorization loop: one workspace, real and complex
 	// passes plus a multi-RHS solve per op — the YSweep steady state.
-	wsLoop := ss.NewWorkspace()
+	wsLoop := an.NewWorkspace()
 	val := func(p int) complex128 {
 		return complex(dperm.Val[p], 0.25*dperm.Val[p])
 	}
@@ -474,15 +446,15 @@ func scaleCases() ([]benchCase, error) {
 	cases = append(cases, benchCase{
 		name: "chol.Refactorize/grid100k/pooled",
 		op: func() error {
-			f, err := ss.FactorizeOpt(dperm, chol.ScheduleDAG, wsLoop)
+			f, err := an.Factorize(dperm, wsLoop)
 			if err != nil {
 				return err
 			}
 			f.SolveMulti(rhs, nrhs)
-			_, err = ss.FactorizeComplexOpt(dperm, val, chol.ScheduleDAG, wsLoop)
+			_, err = an.FactorizeComplex(val, wsLoop)
 			return err
 		},
-		flops: 5 * ss.FlopEstimate(), supernodes: ss.NSuper(), fill: ss.Fill(),
+		flops: 5 * flops, supernodes: supernodes, fill: fill,
 	})
 	return cases, nil
 }

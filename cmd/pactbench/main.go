@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	list := fs.Bool("list", false, "list experiments and exit")
 	outDir := fs.String("o", "", "write each experiment's report to <dir>/<name>.txt instead of stdout")
 	jsonOut := fs.String("json", "", "benchmark the parallel kernels and write a JSON report to this file ('-' for stdout)")
-	benchset := fs.String("benchset", "kernels", "benchmark set for -json: kernels (fast), factor (large-mesh supernodal vs up-looking), scale (DAG vs level schedule on a 100k-node power grid at GOMAXPROCS 1/2/4/8), frontend (per-stage parse/stamp/assemble/order/symbolic on 100k-node presets), service (rcfitd request throughput/latency/cache hit rate), multipoint (single- vs multi-expansion-point vs clustered reduction of the wide-band 256-port bench, with oracle accuracy columns) or all")
+	benchset := fs.String("benchset", "kernels", "benchmark set for -json: kernels (fast), factor (large-mesh supernodal factorization, solves and dense micro-kernels), scale (DAG-scheduled factorization of a 100k-node power grid at GOMAXPROCS 1/2/4/8), frontend (per-stage parse/stamp/assemble/order/symbolic on 100k-node presets), service (rcfitd request throughput/latency/cache hit rate), multipoint (single- vs multi-expansion-point vs clustered reduction of the wide-band 256-port bench, with oracle accuracy columns) or all")
 	benchtime := fs.Duration("benchtime", 200*time.Millisecond, "minimum measuring time per benchmark leg for -json")
 	gate := fs.String("gate", "", "after -json, compare the fresh report against this baseline report and fail on slowdowns beyond -threshold")
 	threshold := fs.Float64("threshold", 3.0, "allowed fresh/baseline ns-per-op ratio for -gate")

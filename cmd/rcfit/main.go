@@ -157,9 +157,13 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 				kernel, red.Stats.FactorFlops/1e9, red.Stats.Solves, red.Stats.MatVecs,
 				red.Stats.CholeskyBytes, red.Stats.ScratchBytes)
 			st := red.Stats.Stage
-			fmt.Fprintf(stderr, "rcfit: stages: parse %s, stamp %s, assemble %s, order %s, symbolic %s, factor %s\n",
+			multi := ""
+			if red.Stats.Shifts > 0 {
+				multi = fmt.Sprintf(", shift_factor %s, basis_union %s", stageMs(st.ShiftFactorNs), stageMs(st.BasisUnionNs))
+			}
+			fmt.Fprintf(stderr, "rcfit: stages: parse %s, stamp %s, assemble %s, order %s, symbolic %s, factor %s%s\n",
 				stageMs(st.ParseNs), stageMs(st.StampNs), stageMs(st.AssembleNs),
-				stageMs(st.OrderNs), stageMs(st.SymbolicNs), stageMs(st.FactorNs))
+				stageMs(st.OrderNs), stageMs(st.SymbolicNs), stageMs(st.FactorNs), multi)
 		}
 		for _, rec := range red.Stats.Recoveries {
 			fmt.Fprintf(stderr, "rcfit: degraded: %s\n", rec.String())

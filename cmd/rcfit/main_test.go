@@ -47,6 +47,35 @@ func TestRunVerboseKernelStats(t *testing.T) {
 	}
 }
 
+// TestRunVerboseMultiPointStages checks that -v names the multi-point
+// stages on a multi-point run of a small wide-band deck, and leaves them
+// out of a single-point run.
+func TestRunVerboseMultiPointStages(t *testing.T) {
+	deck, _, err := netgen.WideBand(netgen.WideBandPreset(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args  []string
+		multi bool
+	}{
+		{[]string{"-fmax", "5e9", "-v", "-shifts", "0,1e9,5e9"}, true},
+		{[]string{"-fmax", "5e9", "-v"}, false},
+	} {
+		var out, errw bytes.Buffer
+		if err := run(context.Background(), tc.args, strings.NewReader(deck.String()), &out, &errw); err != nil {
+			t.Fatalf("%v: %v\nstderr:\n%s", tc.args, err, errw.String())
+		}
+		stats := errw.String()
+		if !strings.Contains(stats, "rcfit: stages: parse") {
+			t.Fatalf("%v: stage line missing:\n%s", tc.args, stats)
+		}
+		if got := strings.Contains(stats, "shift_factor") && strings.Contains(stats, "basis_union"); got != tc.multi {
+			t.Fatalf("%v: multi-point stages printed = %v, want %v:\n%s", tc.args, got, tc.multi, stats)
+		}
+	}
+}
+
 func TestRunRequiresFmax(t *testing.T) {
 	var out, errw bytes.Buffer
 	if err := run(context.Background(), nil, strings.NewReader("t\n.end\n"), &out, &errw); err == nil {

@@ -4,12 +4,15 @@
 // D + sE sharing the same symbolic structure, used to evaluate the exact
 // multiport admittance Y(s) of the unreduced network for verification.
 //
-// Both factorizations are up-looking: row k of L is computed from the
-// elimination-tree reach of column k of the upper triangle of A, following
-// the classic CSparse scheme. No numeric pivoting is performed; D is
-// symmetric positive definite by construction (every internal node has a
-// DC path to a port), which the factorization verifies, and D + jωE is
-// diagonally dominated by D for the frequencies of interest.
+// Analyze picks one of two kernels per pattern, by order. Below 512 the
+// scalar up-looking kernel computes row k of L from the elimination-tree
+// reach of column k of the upper triangle of A, following the classic
+// CSparse scheme; at 512 and above the supernodal kernel (super.go)
+// factors dense panels on a dependency DAG. No numeric pivoting is
+// performed; D is symmetric positive definite by construction (every
+// internal node has a DC path to a port), which the factorization
+// verifies, and D + jωE is diagonally dominated by D for the frequencies
+// of interest.
 package chol
 
 import (
@@ -48,26 +51,16 @@ func (f *Factor) order() int {
 // Factorize computes the Cholesky factorization A = LLᵀ of the symmetric
 // positive definite matrix A (full pattern CSR, already permuted into its
 // final order) using the symbolic analysis sym, which must have been
-// computed for the same (permuted) pattern — i.e. Analyze(...).Perm was
+// computed for the same (permuted) pattern — i.e. order.Analyze(...).Perm was
 // already applied by the caller, or the pattern was analyzed with
-// order.Natural. Orders at or above SupernodalMinOrder take the blocked
-// supernodal kernel; smaller ones the scalar up-looking kernel.
+// order.Natural. It is Analyze followed by one Analysis.Factorize, for
+// callers that factor a pattern once.
 func Factorize(a *sparse.CSR, sym *order.Symbolic) (*Factor, error) {
-	return FactorizeStrategy(a, sym, StrategyAuto)
-}
-
-// FactorizeStrategy is Factorize with an explicit kernel choice, for
-// benchmarks and the cross-check tests that pit the two kernels against
-// each other.
-func FactorizeStrategy(a *sparse.CSR, sym *order.Symbolic, strat Strategy) (*Factor, error) {
-	if strat == StrategySupernodal || (strat == StrategyAuto && a.Rows >= SupernodalMinOrder) {
-		ss, err := AnalyzeSuper(a, sym, order.SupernodeOptions{})
-		if err != nil {
-			return nil, err
-		}
-		return ss.Factorize(a)
+	an, err := Analyze(a, sym)
+	if err != nil {
+		return nil, err
 	}
-	return factorizeUpLooking(a, sym)
+	return an.Factorize(a, nil)
 }
 
 func factorizeUpLooking(a *sparse.CSR, sym *order.Symbolic) (*Factor, error) {
@@ -180,7 +173,7 @@ func (f *Factor) NNZ() int {
 // simplicial (up-looking) factor.
 func (f *Factor) Supernodes() int {
 	if f.super != nil {
-		return f.super.ss.NSuper()
+		return f.super.ss.sn.NSuper()
 	}
 	return 0
 }
@@ -189,7 +182,7 @@ func (f *Factor) Supernodes() int {
 // relaxed supernode amalgamation introduced (0 for a simplicial factor).
 func (f *Factor) AmalgamatedFill() int {
 	if f.super != nil {
-		return f.super.ss.Fill()
+		return f.super.ss.sn.Fill
 	}
 	return 0
 }
@@ -264,15 +257,15 @@ func (f *ComplexFactor) order() int {
 	return f.L.Cols
 }
 
-// FactorizeComplex computes the LDLᵀ factorization of the complex
-// symmetric matrix with the given pattern (CSR, full symmetric pattern,
-// already permuted) and entry values supplied by the val callback, which
-// receives the position of each stored pattern entry. sym must be the
-// symbolic analysis of the same pattern.
+// factorizeComplexUpLooking computes the up-looking LDLᵀ factorization
+// of the complex symmetric matrix with the given pattern (CSR, full
+// symmetric pattern, already permuted) and entry values supplied by the
+// val callback, which receives the position of each stored pattern
+// entry. sym must be the symbolic analysis of the same pattern.
 //
 // The intended use is A(s) = D + sE: the pattern is PatternUnion(D, E) and
 // val(p) = Dval(p) + s*Eval(p).
-func FactorizeComplex(pattern *sparse.CSR, val func(p int) complex128, sym *order.Symbolic) (*ComplexFactor, error) {
+func factorizeComplexUpLooking(pattern *sparse.CSR, val func(p int) complex128, sym *order.Symbolic) (*ComplexFactor, error) {
 	n := pattern.Rows
 	if pattern.Cols != n || sym.N != n {
 		return nil, fmt.Errorf("chol: complex dimension mismatch")

@@ -218,7 +218,7 @@ func TestComplexLDLTMatchesDense(t *testing.T) {
 			j := pat.Col[p]
 			return complex(dp.At(i, j), 0) + s*complex(ep.At(i, j), 0)
 		}
-		f, err := FactorizeComplex(pat, evalAt, sym)
+		f, err := factorizeComplexUpLooking(pat, evalAt, sym)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -255,7 +255,7 @@ func TestComplexSolveDimensionMismatch(t *testing.T) {
 	}
 	pat := b.Build()
 	sym := order.Analyze(pat, order.Natural)
-	f, err := FactorizeComplex(pat, func(p int) complex128 {
+	f, err := factorizeComplexUpLooking(pat, func(p int) complex128 {
 		return complex(pat.Val[p], 0)
 	}, sym)
 	if err != nil {

@@ -13,55 +13,53 @@ import (
 // analyzeMeshSuper builds the permuted mesh matrix and its supernodal
 // symbolic structure under minimum-degree ordering — the production
 // configuration of the large-mesh path.
-func analyzeMeshSuper(t *testing.T, nx, ny int) (*SuperSymbolic, *sparse.CSR) {
+func analyzeMeshSuper(t *testing.T, nx, ny int) (*superSymbolic, *sparse.CSR) {
 	t.Helper()
 	a := meshSPD(nx, ny)
 	sym := order.Analyze(a, order.MinimumDegree)
 	ap := a.PermuteSym(sym.Perm)
-	ss, err := AnalyzeSuper(ap, sym, order.SupernodeOptions{})
+	ss, err := analyzeSuper(ap, sym, order.SupernodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ss, ap
 }
 
-// TestDAGScheduleBitIdenticalRealFactor pins the tentpole determinism
-// contract for the real LLᵀ: the packed factor of the DAG schedule is
-// Float64bits-identical to the serial run and to the legacy level
-// schedule, at every GOMAXPROCS, with and without a pooled workspace.
+// TestDAGScheduleBitIdenticalRealFactor pins the determinism contract
+// for the real LLᵀ: the packed factor of the DAG schedule is
+// Float64bits-identical to the serial run at every GOMAXPROCS, with and
+// without a pooled workspace.
 func TestDAGScheduleBitIdenticalRealFactor(t *testing.T) {
 	ss, ap := analyzeMeshSuper(t, 40, 40)
 
 	serial := runtime.GOMAXPROCS(1)
-	ref, err := ss.FactorizeOpt(ap, ScheduleDAG, nil)
+	ref, err := ss.factorize(ap, nil)
 	runtime.GOMAXPROCS(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := append([]float64(nil), ref.super.val...)
 
-	ws := ss.NewWorkspace()
+	ws := &FactorWorkspace{ss: ss}
 	for _, procs := range []int{1, 2, 4, 8} {
 		old := runtime.GOMAXPROCS(procs)
-		for _, sched := range []Schedule{ScheduleDAG, ScheduleLevel} {
-			fresh, err := ss.FactorizeOpt(ap, sched, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitsEqual(t, "fresh factor", want, fresh.super.val)
-			pooled, err := ss.FactorizeOpt(ap, sched, ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitsEqual(t, "workspace factor", want, pooled.super.val)
+		fresh, err := ss.factorize(ap, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		bitsEqual(t, "fresh factor", want, fresh.super.val)
+		pooled, err := ss.factorize(ap, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitsEqual(t, "workspace factor", want, pooled.super.val)
 		runtime.GOMAXPROCS(old)
 	}
 }
 
 // TestDAGScheduleBitIdenticalComplexFactor is the complex LDLᵀ half of
 // the pin: packed panels AND the diagonal must be bit-identical across
-// schedules, GOMAXPROCS, and workspace reuse — the YSweep
+// GOMAXPROCS and workspace reuse — the YSweep
 // re-factorization configuration.
 func TestDAGScheduleBitIdenticalComplexFactor(t *testing.T) {
 	ss, ap := analyzeMeshSuper(t, 32, 32)
@@ -70,7 +68,7 @@ func TestDAGScheduleBitIdenticalComplexFactor(t *testing.T) {
 	}
 
 	serial := runtime.GOMAXPROCS(1)
-	ref, err := ss.FactorizeComplexOpt(ap, val, ScheduleDAG, nil)
+	ref, err := ss.factorizeComplex(ap, val, nil)
 	runtime.GOMAXPROCS(serial)
 	if err != nil {
 		t.Fatal(err)
@@ -78,22 +76,16 @@ func TestDAGScheduleBitIdenticalComplexFactor(t *testing.T) {
 	wantV := append([]complex128(nil), ref.super.val...)
 	wantD := append([]complex128(nil), ref.super.d...)
 
-	ws := ss.NewWorkspace()
+	ws := &FactorWorkspace{ss: ss}
 	for _, procs := range []int{1, 2, 4, 8} {
 		old := runtime.GOMAXPROCS(procs)
-		for _, sched := range []Schedule{ScheduleDAG, ScheduleLevel} {
-			for _, useWS := range []bool{false, true} {
-				var w *FactorWorkspace
-				if useWS {
-					w = ws
-				}
-				f, err := ss.FactorizeComplexOpt(ap, val, sched, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cbitsEqual(t, "complex panels", wantV, f.super.val)
-				cbitsEqual(t, "complex diagonal", wantD, f.super.d)
+		for _, w := range []*FactorWorkspace{nil, ws} {
+			f, err := ss.factorizeComplex(ap, val, w)
+			if err != nil {
+				t.Fatal(err)
 			}
+			cbitsEqual(t, "complex panels", wantV, f.super.val)
+			cbitsEqual(t, "complex diagonal", wantD, f.super.d)
 		}
 		runtime.GOMAXPROCS(old)
 	}
@@ -123,26 +115,26 @@ func TestFactorWorkspaceSteadyStateAllocs(t *testing.T) {
 
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	ws := ss.NewWorkspace()
+	ws := &FactorWorkspace{ss: ss}
 	n := ss.sym.N
 	rhs := make([]float64, 4*n)
 	crhs := make([]complex128, 4*n)
 
 	// Warm every lazily created buffer once.
-	if _, err := ss.FactorizeOpt(ap, ScheduleDAG, ws); err != nil {
+	if _, err := ss.factorize(ap, ws); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.FactorizeComplexOpt(ap, val, ScheduleDAG, ws); err != nil {
+	if _, err := ss.factorizeComplex(ap, val, ws); err != nil {
 		t.Fatal(err)
 	}
 
 	allocs := testing.AllocsPerRun(5, func() {
-		f, err := ss.FactorizeOpt(ap, ScheduleDAG, ws)
+		f, err := ss.factorize(ap, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.SolveMulti(rhs, 4)
-		cf, err := ss.FactorizeComplexOpt(ap, val, ScheduleDAG, ws)
+		cf, err := ss.factorizeComplex(ap, val, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,9 +150,8 @@ func TestFactorWorkspaceSteadyStateAllocs(t *testing.T) {
 }
 
 // TestDAGScheduleErrorDeterministic: a non-SPD matrix must fail with
-// the same typed error under the DAG schedule as under the level
-// schedule (single failing panel), with no early exit corrupting the
-// report, at several worker counts.
+// the same typed error (single failing panel) at several worker counts,
+// with no early exit corrupting the report.
 func TestDAGScheduleErrorDeterministic(t *testing.T) {
 	a := meshSPD(24, 24)
 	// Flip one diagonal deep in the matrix: that column's pivot goes
@@ -172,25 +163,23 @@ func TestDAGScheduleErrorDeterministic(t *testing.T) {
 	}
 	sym := order.Analyze(a, order.MinimumDegree)
 	ap := a.PermuteSym(sym.Perm)
-	ss, err := AnalyzeSuper(ap, sym, order.SupernodeOptions{})
+	ss, err := analyzeSuper(ap, sym, order.SupernodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var msgs []string
 	for _, procs := range []int{1, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		for _, sched := range []Schedule{ScheduleDAG, ScheduleLevel} {
-			_, err := ss.FactorizeOpt(ap, sched, nil)
-			if !errors.Is(err, ErrNotPositiveDefinite) {
-				t.Fatalf("procs=%d sched=%v: err = %v, want ErrNotPositiveDefinite", procs, sched, err)
-			}
-			msgs = append(msgs, err.Error())
+		_, err := ss.factorize(ap, nil)
+		if !errors.Is(err, ErrNotPositiveDefinite) {
+			t.Fatalf("procs=%d: err = %v, want ErrNotPositiveDefinite", procs, err)
 		}
+		msgs = append(msgs, err.Error())
 		runtime.GOMAXPROCS(old)
 	}
 	for _, m := range msgs[1:] {
 		if m != msgs[0] {
-			t.Fatalf("error message drifted across schedules/procs: %q vs %q", msgs[0], m)
+			t.Fatalf("error message drifted across procs: %q vs %q", msgs[0], m)
 		}
 	}
 }

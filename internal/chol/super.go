@@ -11,7 +11,7 @@
 // owns the sparse bookkeeping around them.
 //
 // Everything that depends only on the pattern is computed once in
-// AnalyzeSuper and shared by every numeric factorization: the row
+// analyzeSuper and shared by every numeric factorization: the row
 // lists, the update edges (which rows of a descendant land where in
 // each ancestor, with the common contiguous case stored as a single
 // base offset instead of an index list), and the scatter positions of
@@ -24,12 +24,10 @@
 // k order — so the result is deterministic: bit-identical across runs
 // and at every GOMAXPROCS. Parallelism is across panels via a
 // dependency-counting task DAG (each panel fires the moment its last
-// updater completes; see DESIGN.md §10), with the legacy
-// level-by-level schedule kept behind ScheduleLevel for comparison,
-// and across right-hand sides in the blocked solves. Determinism
-// survives the out-of-order panel completion because each panel writes
-// only its own packed region in a fixed order and reads updater panels
-// only after they are final.
+// updater completes; see DESIGN.md §10) and across right-hand sides in
+// the blocked solves. Determinism survives the out-of-order panel
+// completion because each panel writes only its own packed region in a
+// fixed order and reads updater panels only after they are final.
 package chol
 
 import (
@@ -45,48 +43,6 @@ import (
 	"repro/internal/sparse"
 )
 
-// SupernodalMinOrder is the matrix order at and above which Factorize
-// selects the supernodal blocked kernel; below it the scalar up-looking
-// kernel wins (panel bookkeeping costs more than it saves) and keeps
-// the historical bit-exact outputs for the small golden tests. Tests
-// lower it to force the blocked path onto small matrices.
-var SupernodalMinOrder = 512
-
-// Strategy selects a factorization kernel explicitly, mainly for
-// benchmarks and cross-check tests; production callers use Factorize,
-// which picks by size.
-type Strategy int
-
-const (
-	// StrategyAuto picks the supernodal kernel for orders at or above
-	// SupernodalMinOrder and the up-looking kernel below it.
-	StrategyAuto Strategy = iota
-	// StrategyUpLooking forces the scalar up-looking kernel.
-	StrategyUpLooking
-	// StrategySupernodal forces the supernodal blocked kernel.
-	StrategySupernodal
-)
-
-// Schedule selects how the supernodal numeric factorization
-// parallelizes across panels. Both schedules run identical per-panel
-// arithmetic in identical order, so the packed factor is bit-identical
-// between them (and to a serial run) at every GOMAXPROCS; they differ
-// only in when a ready panel starts.
-type Schedule int
-
-const (
-	// ScheduleDAG (the default) fires each panel the moment its last
-	// updater descendant completes, via the dependency-counting ready
-	// queue of par.RunDAG. No level barriers: workers stay busy as long
-	// as any panel is ready.
-	ScheduleDAG Schedule = iota
-	// ScheduleLevel is the legacy elimination-tree level schedule: the
-	// panels of one level factor in parallel, with a barrier between
-	// levels. Kept for A/B benchmarking (pactbench -benchset scale) and
-	// as a determinism cross-check.
-	ScheduleLevel
-)
-
 // updEdge is one precomputed descendant→ancestor update route: rows
 // [lo, mid) of descendant d's row list fall inside the ancestor's
 // column range (these drive the update's wC columns), rows [lo, hd)
@@ -100,16 +56,15 @@ type updEdge struct {
 	rel     []int32
 }
 
-// SuperSymbolic is the supernodal extension of a symbolic analysis: the
+// superSymbolic is the supernodal extension of a symbolic analysis: the
 // supernode partition plus, per supernode, its full row list, the
 // precomputed update edges from its descendants, the scatter positions
-// of the analyzed pattern's entries into its panel, and a level
-// schedule of the supernodal elimination tree. It depends only on the
-// pattern, so one SuperSymbolic is shared by every numeric
-// factorization of that pattern — the real Cholesky, each refactorize
-// of a recovery ladder, and every frequency point of a complex LDLᵀ
-// sweep.
-type SuperSymbolic struct {
+// of the analyzed pattern's entries into its panel, and the panel
+// precedence DAG. It depends only on the pattern, so one superSymbolic
+// is shared by every numeric factorization of that pattern — the real
+// Cholesky, each refactorize of a recovery ladder, and every frequency
+// point of a complex LDLᵀ sweep.
+type superSymbolic struct {
 	sym *order.Symbolic
 	sn  *order.Supernodes
 	// rows[s] lists the global row indices of supernode s's trapezoid in
@@ -129,12 +84,10 @@ type SuperSymbolic struct {
 	// pattern's lower-triangle entries of s's columns into the panel:
 	// panel[slot] = val(position). Flattened as pos0, slot0, pos1, ….
 	scat [][]int32
-	// levels groups supernodes by height in the supernodal elimination
-	// tree. Every updater of s sits at a strictly lower level, so the
-	// panels within one level are independent and run in parallel. The
-	// level schedule is the legacy ScheduleLevel path; the default
-	// schedule runs on dag instead.
-	levels [][]int
+	// leaves counts the leaves of the supernodal elimination tree: the
+	// panels with no updater child, all ready at once when a numeric
+	// factorization starts, and so the size of its worker pool.
+	leaves int
 	// dag is the panel-precedence DAG: supernode s depends on exactly
 	// its updater descendants (which include its supernodal-etree
 	// children — a child's first below row is its parent column), so a
@@ -151,20 +104,21 @@ type SuperSymbolic struct {
 	flops             float64
 }
 
-// AnalyzeSuper builds the supernodal symbolic structure for the given
-// full symmetric pattern and its symbolic analysis. Pass a zero
-// SupernodeOptions for the default panel width and relaxed-amalgamation
-// budget. Numeric factorizations against the returned structure must
-// present a matrix with exactly this pattern (the scatter routes are
-// resolved here, once, not per factorization).
-func AnalyzeSuper(a *sparse.CSR, sym *order.Symbolic, opt order.SupernodeOptions) (*SuperSymbolic, error) {
+// analyzeSuper builds the supernodal symbolic structure for the given
+// full symmetric pattern and its symbolic analysis. Analyze passes a
+// zero SupernodeOptions (the default panel width and
+// relaxed-amalgamation budget); tests force other widths. Numeric
+// factorizations against the returned structure must present a matrix
+// with exactly this pattern (the scatter routes are resolved here,
+// once, not per factorization).
+func analyzeSuper(a *sparse.CSR, sym *order.Symbolic, opt order.SupernodeOptions) (*superSymbolic, error) {
 	n := a.Rows
 	if a.Cols != n || sym.N != n {
 		return nil, fmt.Errorf("chol: supernodal dimension mismatch (matrix %dx%d, symbolic %d)", a.Rows, a.Cols, sym.N)
 	}
 	sn := sym.FindSupernodes(opt)
 	ns := sn.NSuper()
-	ss := &SuperSymbolic{sym: sym, sn: sn}
+	ss := &superSymbolic{sym: sym, sn: sn}
 
 	// Below-diagonal rows per supernode: k belongs to below(s) exactly
 	// when the last column of s appears in the elimination reach of row
@@ -287,27 +241,18 @@ func AnalyzeSuper(a *sparse.CSR, sym *order.Symbolic, opt order.SupernodeOptions
 		}
 	}
 
-	// Level schedule by height in the supernodal etree. Children always
-	// have smaller indices than their parent (the parent column of a
-	// supernode's last column lies beyond it), so one ascending pass
-	// computes heights.
-	level := make([]int, ns)
-	maxLevel := -1
+	// Leaves of the supernodal etree: a supernode is a leaf when no
+	// other supernode's last column has its column as parent.
+	hasChild := make([]bool, ns)
 	for s := 0; s < ns; s++ {
-		last := sn.Super[s+1] - 1
-		if p := sym.Parent[last]; p >= 0 {
-			ps := sn.ColToSuper[p]
-			if level[ps] < level[s]+1 {
-				level[ps] = level[s] + 1
-			}
-		}
-		if level[s] > maxLevel {
-			maxLevel = level[s]
+		if p := sym.Parent[sn.Super[s+1]-1]; p >= 0 {
+			hasChild[sn.ColToSuper[p]] = true
 		}
 	}
-	ss.levels = make([][]int, maxLevel+1)
-	for s := 0; s < ns; s++ {
-		ss.levels[level[s]] = append(ss.levels[level[s]], s)
+	for _, c := range hasChild {
+		if !c {
+			ss.leaves++
+		}
 	}
 
 	// Panel-precedence DAG from the updater lists: panel s reads exactly
@@ -319,29 +264,12 @@ func AnalyzeSuper(a *sparse.CSR, sym *order.Symbolic, opt order.SupernodeOptions
 	return ss, nil
 }
 
-// NSuper returns the number of supernodes.
-func (ss *SuperSymbolic) NSuper() int { return ss.sn.NSuper() }
-
-// Fill returns the count of explicitly stored zeros introduced by
-// relaxed amalgamation.
-func (ss *SuperSymbolic) Fill() int { return ss.sn.Fill }
-
-// FlopEstimate returns the approximate floating-point operation count
-// of one numeric factorization (2·Σⱼ hⱼ² over the stored column heights
-// hⱼ, counting multiplies and adds separately).
-func (ss *SuperSymbolic) FlopEstimate() float64 { return ss.flops }
-
-// TrapNNZ returns the packed trapezoid storage of the factor in entries,
-// including the explicit zeros of relaxed amalgamation — the entry count
-// one triangular solve streams through.
-func (ss *SuperSymbolic) TrapNNZ() int { return ss.trapNNZ }
-
 // superFactor is the numeric supernodal factor: the packed column-major
 // panels, interpreted through the shared symbolic structure. For the
 // real Cholesky the panels hold L with its diagonal; for the complex
 // LDLᵀ they hold unit-diagonal L with the diagonal in a separate slice.
 type superFactor struct {
-	ss  *SuperSymbolic
+	ss  *superSymbolic
 	val []float64
 	// ws is the workspace this factor was produced through (nil for an
 	// owning factor): its solve buffers are reused by the multi-RHS
@@ -359,14 +287,14 @@ func (sf *superFactor) panel(s int) []float64 {
 // superScratch is the worker-owned scratch of the numeric
 // factorization: the dense update block and the original diagonals for
 // the pivot check. (The row routing that used to need a length-n
-// relative map per worker is precomputed in the SuperSymbolic now.)
+// relative map per worker is precomputed in the superSymbolic now.)
 type superScratch struct {
 	upd   []float64
 	cupd  []complex128
 	adiag []float64
 }
 
-func (ss *SuperSymbolic) newScratch(complexUpd bool) *superScratch {
+func (ss *superSymbolic) newScratch(complexUpd bool) *superScratch {
 	sc := &superScratch{adiag: make([]float64, ss.maxWidth)}
 	if complexUpd {
 		sc.cupd = make([]complex128, ss.maxRows*ss.maxWidth)
@@ -376,28 +304,22 @@ func (ss *SuperSymbolic) newScratch(complexUpd bool) *superScratch {
 	return sc
 }
 
-// Factorize runs the numeric supernodal Cholesky A = LLᵀ against this
+// factorize runs the numeric supernodal Cholesky A = LLᵀ against this
 // symbolic structure; a must carry exactly the analyzed pattern. Panels
 // factor in parallel on the dependency DAG; all arithmetic per panel is
 // serial in fixed order, so the factor is bit-identical at every
-// GOMAXPROCS and under either schedule.
-func (ss *SuperSymbolic) Factorize(a *sparse.CSR) (*Factor, error) {
-	return ss.FactorizeOpt(a, ScheduleDAG, nil)
-}
-
-// FactorizeOpt is Factorize with an explicit panel schedule and an
-// optional workspace. A nil workspace allocates fresh storage (the
-// returned factor owns it); a non-nil workspace makes the factorization
+// GOMAXPROCS. A nil workspace allocates fresh storage (the returned
+// factor owns it); a non-nil workspace makes the factorization
 // allocation-free in steady state, and the returned factor aliases the
 // workspace — valid only until the next factorization through it (see
 // FactorWorkspace).
-func (ss *SuperSymbolic) FactorizeOpt(a *sparse.CSR, sched Schedule, ws *FactorWorkspace) (*Factor, error) {
+func (ss *superSymbolic) factorize(a *sparse.CSR, ws *FactorWorkspace) (*Factor, error) {
 	n := ss.sym.N
 	if a.Rows != n || a.Cols != n {
 		return nil, fmt.Errorf("chol: supernodal factorize dimension mismatch (matrix %dx%d, symbolic %d)", a.Rows, a.Cols, n)
 	}
 	ns := ss.sn.NSuper()
-	workers := ss.maxLevelWorkers()
+	workers := par.Workers(ss.leaves)
 	sf := &superFactor{ss: ss, ws: ws}
 	var errs []error
 	var scratch []*superScratch
@@ -420,34 +342,21 @@ func (ss *SuperSymbolic) FactorizeOpt(a *sparse.CSR, sched Schedule, ws *FactorW
 		}
 		errs[s] = sf.factorPanel(a, s, scratch[w])
 	}
-	if err := ss.runSchedule(sched, ws, workers, errs, body); err != nil {
+	if err := ss.runDAG(ws, workers, errs, body); err != nil {
 		return nil, err
 	}
-	sf.scratchBytes = ss.runBytes(scratch, sched, 8)
+	sf.scratchBytes = ss.runBytes(scratch, 8)
 	return &Factor{super: sf}, nil
 }
 
-// runSchedule executes the panel body under the chosen schedule and
-// returns the lowest-indexed panel error, if any. The DAG schedule has
-// no early exit — every panel runs even after a failure, which keeps
-// the set of executed tasks (and so the reported error) deterministic
-// under every interleaving; a failed panel's partial values are
-// themselves deterministic, so its dependents compute deterministic
-// (discarded) results. The level schedule keeps its historical
-// stop-after-failing-level behavior.
-func (ss *SuperSymbolic) runSchedule(sched Schedule, ws *FactorWorkspace, workers int, errs []error, body func(w, s int)) error {
-	if sched == ScheduleLevel {
-		for _, lvl := range ss.levels {
-			lvl := lvl
-			par.Do(workers, len(lvl), func(w, i int) { body(w, lvl[i]) })
-			for _, s := range lvl {
-				if errs[s] != nil {
-					return errs[s]
-				}
-			}
-		}
-		return nil
-	}
+// runDAG executes the panel body on the precedence DAG and returns the
+// lowest-indexed panel error, if any. There is no early exit — every
+// panel runs even after a failure, which keeps the set of executed
+// tasks (and so the reported error) deterministic under every
+// interleaving; a failed panel's partial values are themselves
+// deterministic, so its dependents compute deterministic (discarded)
+// results.
+func (ss *superSymbolic) runDAG(ws *FactorWorkspace, workers int, errs []error, body func(w, s int)) error {
 	if ws != nil {
 		par.RunDAGScratch(workers, ss.dag, ws.dagScratch(), body)
 	} else {
@@ -465,27 +374,15 @@ func (ss *SuperSymbolic) runSchedule(sched Schedule, ws *FactorWorkspace, worker
 // numeric run plus the peak per-worker solve buffers the factor's
 // multi-RHS solves will lazily create, for the Bytes memory accounting
 // (elemSize 8 for real, 16 for complex solves).
-func (ss *SuperSymbolic) runBytes(scratch []*superScratch, sched Schedule, elemSize int) int64 {
+func (ss *superSymbolic) runBytes(scratch []*superScratch, elemSize int) int64 {
 	var b int64
 	for _, sc := range scratch {
 		b += sc.bytes()
 	}
-	if sched == ScheduleDAG {
-		b += int64(ss.dag.Len()) * 8 // counts + ready queue
-	}
+	b += int64(ss.dag.Len()) * 8    // counts + ready queue
 	b += int64(ss.sn.NSuper()) * 16 // error slots
 	b += int64(par.Workers(ss.sn.NSuper())) * int64(ss.maxRows) * int64(elemSize)
 	return b
-}
-
-func (ss *SuperSymbolic) maxLevelWorkers() int {
-	widest := 1
-	for _, lvl := range ss.levels {
-		if len(lvl) > widest {
-			widest = len(lvl)
-		}
-	}
-	return par.Workers(widest)
 }
 
 // scatterSub subtracts the lower trapezoid of the update block C
@@ -786,10 +683,10 @@ func checkMulti(have, n, nrhs int) {
 
 // superComplexFactor is the supernodal complex LDLᵀ: unit-lower panels
 // (diagonal slots hold 1) plus the diagonal D, sharing the real
-// structure's SuperSymbolic — row lists, update edges, scatter routes —
+// structure's superSymbolic — row lists, update edges, scatter routes —
 // across all frequency points of a sweep.
 type superComplexFactor struct {
-	ss  *SuperSymbolic
+	ss  *superSymbolic
 	val []complex128
 	d   []complex128
 	ws  *FactorWorkspace // see superFactor.ws
@@ -799,25 +696,19 @@ func (sf *superComplexFactor) panel(s int) []complex128 {
 	return sf.val[sf.ss.off[s]:sf.ss.off[s+1]]
 }
 
-// FactorizeComplex runs the supernodal LDLᵀ of the complex symmetric
-// matrix with the given pattern (the one this SuperSymbolic was
+// factorizeComplex runs the supernodal LDLᵀ of the complex symmetric
+// matrix with the given pattern (the one this superSymbolic was
 // analyzed for) and entry values supplied per stored pattern position,
-// as in the package-level FactorizeComplex.
-func (ss *SuperSymbolic) FactorizeComplex(pattern *sparse.CSR, val func(p int) complex128) (*ComplexFactor, error) {
-	return ss.FactorizeComplexOpt(pattern, val, ScheduleDAG, nil)
-}
-
-// FactorizeComplexOpt is FactorizeComplex with an explicit panel
-// schedule and an optional workspace, mirroring FactorizeOpt: a
-// workspace-backed complex factor aliases the workspace and is valid
-// only until its next factorization.
-func (ss *SuperSymbolic) FactorizeComplexOpt(pattern *sparse.CSR, val func(p int) complex128, sched Schedule, ws *FactorWorkspace) (*ComplexFactor, error) {
+// with an optional workspace as in factorize: a workspace-backed
+// complex factor aliases the workspace and is valid only until its next
+// factorization.
+func (ss *superSymbolic) factorizeComplex(pattern *sparse.CSR, val func(p int) complex128, ws *FactorWorkspace) (*ComplexFactor, error) {
 	n := ss.sym.N
 	if pattern.Rows != n || pattern.Cols != n {
 		return nil, fmt.Errorf("chol: supernodal complex dimension mismatch")
 	}
 	ns := ss.sn.NSuper()
-	workers := ss.maxLevelWorkers()
+	workers := par.Workers(ss.leaves)
 	sf := &superComplexFactor{ss: ss, ws: ws}
 	var errs []error
 	var scratch []*superScratch
@@ -841,7 +732,7 @@ func (ss *SuperSymbolic) FactorizeComplexOpt(pattern *sparse.CSR, val func(p int
 		}
 		errs[s] = sf.factorPanel(val, s, scratch[w])
 	}
-	if err := ss.runSchedule(sched, ws, workers, errs, body); err != nil {
+	if err := ss.runDAG(ws, workers, errs, body); err != nil {
 		return nil, err
 	}
 	return &ComplexFactor{super: sf}, nil

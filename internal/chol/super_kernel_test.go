@@ -14,7 +14,7 @@ import (
 // This file pins the micro-kernel rewrite of the supernodal path: the
 // blocked factorization and solves against the up-looking oracle at
 // deliberately awkward panel widths (1×1 supernodes, widths on every
-// unroll residue), the SupernodalMinOrder dispatch boundary, and the
+// unroll residue), the Analyze dispatch boundary, and the
 // bit-determinism of the complex tiled path across GOMAXPROCS.
 
 // TestOracleSupernodalPanelWidths forces panel widths onto every unroll
@@ -27,7 +27,7 @@ func TestOracleSupernodalPanelWidths(t *testing.T) {
 	n := a.Rows
 	sym := order.Analyze(a, order.MinimumDegree)
 	ap := a.PermuteSym(sym.Perm)
-	fu, err := FactorizeStrategy(ap, sym, StrategyUpLooking)
+	fu, err := factorizeUpLooking(ap, sym)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +46,14 @@ func TestOracleSupernodalPanelWidths(t *testing.T) {
 		{MaxWidth: 7, RelaxFill: 0.3},
 		{}, // defaults
 	} {
-		ss, err := AnalyzeSuper(ap, sym, opt)
+		ss, err := analyzeSuper(ap, sym, opt)
 		if err != nil {
 			t.Fatalf("opt %+v: %v", opt, err)
 		}
-		if opt.MaxWidth == 1 && ss.NSuper() != n {
-			t.Fatalf("MaxWidth 1: %d supernodes, want %d singletons", ss.NSuper(), n)
+		if opt.MaxWidth == 1 && ss.sn.NSuper() != n {
+			t.Fatalf("MaxWidth 1: %d supernodes, want %d singletons", ss.sn.NSuper(), n)
 		}
-		fs, err := ss.Factorize(ap)
+		fs, err := ss.factorize(ap, nil)
 		if err != nil {
 			t.Fatalf("opt %+v: %v", opt, err)
 		}
@@ -104,7 +104,7 @@ func TestOracleSupernodalComplexTiled(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	n := 140
 	pat, sym, val := complexTestSystem(rng, n, complex(0, 37.5))
-	fu, err := FactorizeComplex(pat, val, sym)
+	fu, err := factorizeComplexUpLooking(pat, val, sym)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestOracleSupernodalComplexTiled(t *testing.T) {
 		{MaxWidth: 3},
 		{},
 	} {
-		ss, err := AnalyzeSuper(pat, sym, opt)
+		ss, err := analyzeSuper(pat, sym, opt)
 		if err != nil {
 			t.Fatalf("opt %+v: %v", opt, err)
 		}
-		fs, err := ss.FactorizeComplex(pat, val)
+		fs, err := ss.factorizeComplex(pat, val, nil)
 		if err != nil {
 			t.Fatalf("opt %+v: %v", opt, err)
 		}
@@ -142,34 +142,58 @@ func TestOracleSupernodalComplexTiled(t *testing.T) {
 	}
 }
 
-// TestOracleSupernodalDispatchBoundary walks the SupernodalMinOrder
-// threshold at n = 511, 512, 513: the automatic dispatch must pick the
-// up-looking kernel strictly below 512 and the blocked kernel at and
-// above it, and whichever kernel is chosen must agree with the other
-// kernel run explicitly (the oracle for the chosen one).
+// TestOracleSupernodalDispatchBoundary walks the supernodalMinOrder
+// threshold at n = 511, 512, 513: Analyze must pick the up-looking
+// kernel strictly below 512 and the blocked kernel at and above it, and
+// whichever kernel it chose must agree, real and complex, with the
+// other kernel run explicitly (the oracle for the chosen one).
 func TestOracleSupernodalDispatchBoundary(t *testing.T) {
-	if SupernodalMinOrder != 512 {
-		t.Fatalf("SupernodalMinOrder = %d, test assumes 512", SupernodalMinOrder)
+	if supernodalMinOrder != 512 {
+		t.Fatalf("supernodalMinOrder = %d, test assumes 512", supernodalMinOrder)
 	}
 	rng := rand.New(rand.NewSource(53))
 	for _, n := range []int{511, 512, 513} {
 		a := randomSPD(rng, n, 3*n)
 		sym := order.Analyze(a, order.MinimumDegree)
 		ap := a.PermuteSym(sym.Perm)
-		f, err := Factorize(ap, sym)
+		an, err := Analyze(ap, sym)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		wantSuper := n >= SupernodalMinOrder
+		wantSuper := n >= supernodalMinOrder
+		if an.Supernodal() != wantSuper {
+			t.Fatalf("n=%d: Analyze picked supernodal=%v, want %v", n, an.Supernodal(), wantSuper)
+		}
+		f, err := an.Factorize(ap, an.NewWorkspace())
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
 		if gotSuper := f.Supernodes() > 0; gotSuper != wantSuper {
-			t.Fatalf("n=%d: dispatch picked supernodal=%v, want %v", n, gotSuper, wantSuper)
+			t.Fatalf("n=%d: factor supernodal=%v, want %v", n, gotSuper, wantSuper)
 		}
-		// The oracle is the kernel the dispatch did not choose.
-		oracleStrat := StrategySupernodal
+		val := func(p int) complex128 { return complex(ap.Val[p], 0.25*ap.Val[p]) }
+		cf, err := an.FactorizeComplex(val, nil)
+		if err != nil {
+			t.Fatalf("n=%d: complex: %v", n, err)
+		}
+		// The oracle is the kernel Analyze did not choose.
+		var fo *Factor
+		var cfo *ComplexFactor
 		if wantSuper {
-			oracleStrat = StrategyUpLooking
+			fo, err = factorizeUpLooking(ap, sym)
+			if err == nil {
+				cfo, err = factorizeComplexUpLooking(ap, val, sym)
+			}
+		} else {
+			var ss *superSymbolic
+			ss, err = analyzeSuper(ap, sym, order.SupernodeOptions{})
+			if err == nil {
+				fo, err = ss.factorize(ap, nil)
+			}
+			if err == nil {
+				cfo, err = ss.factorizeComplex(ap, val, nil)
+			}
 		}
-		fo, err := FactorizeStrategy(ap, sym, oracleStrat)
 		if err != nil {
 			t.Fatalf("n=%d: oracle kernel: %v", n, err)
 		}
@@ -183,12 +207,27 @@ func TestOracleSupernodalDispatchBoundary(t *testing.T) {
 		f.Solve(got)
 		want := append([]float64(nil), b...)
 		fo.Solve(want)
+		cgot := make([]complex128, n)
+		cwant := make([]complex128, n)
+		for i := range b {
+			cgot[i] = complex(b[i], -b[i])
+			cwant[i] = cgot[i]
+		}
+		if err := cf.Solve(cgot); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if err := cfo.Solve(cwant); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
 				t.Fatalf("n=%d: solve[%d] = %v chosen kernel vs %v oracle kernel", n, i, got[i], want[i])
 			}
 			if math.Abs(got[i]-x[i]) > 1e-7*(1+math.Abs(x[i])) {
 				t.Fatalf("n=%d: solve[%d] = %v, want %v", n, i, got[i], x[i])
+			}
+			if cmplx.Abs(cgot[i]-cwant[i]) > 1e-9*(1+cmplx.Abs(cwant[i])) {
+				t.Fatalf("n=%d: complex solve[%d] = %v chosen kernel vs %v oracle kernel", n, i, cgot[i], cwant[i])
 			}
 		}
 	}
@@ -197,13 +236,13 @@ func TestOracleSupernodalDispatchBoundary(t *testing.T) {
 // TestSupernodalComplexDeterministicAcrossGOMAXPROCS pins the complex
 // tiled path's determinism contract at GOMAXPROCS ∈ {1, 2, 4, 8}: the
 // packed panel values, the diagonal, and a blocked multi-RHS solve must
-// be bit-identical at every worker count (one shared SuperSymbolic, as
+// be bit-identical at every worker count (one shared superSymbolic, as
 // a frequency sweep would use it).
 func TestSupernodalComplexDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	n := 160
 	pat, sym, val := complexTestSystem(rng, n, complex(0, 61.8))
-	ss, err := AnalyzeSuper(pat, sym, order.SupernodeOptions{})
+	ss, err := analyzeSuper(pat, sym, order.SupernodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +252,7 @@ func TestSupernodalComplexDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		block[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	run := func() (*superComplexFactor, []complex128) {
-		f, err := ss.FactorizeComplex(pat, val)
+		f, err := ss.factorizeComplex(pat, val, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

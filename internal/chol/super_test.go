@@ -43,6 +43,16 @@ func meshSPD(nx, ny int) *sparse.CSR {
 	return b.Build()
 }
 
+// factorizeSupernodal runs the supernodal kernel at any order, the
+// cross-check partner of factorizeUpLooking.
+func factorizeSupernodal(a *sparse.CSR, sym *order.Symbolic) (*Factor, error) {
+	ss, err := analyzeSuper(a, sym, order.SupernodeOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return ss.factorize(a, nil)
+}
+
 // denseL reconstructs the dense lower factor from either representation.
 func denseL(f *Factor) [][]float64 {
 	n := f.order()
@@ -86,11 +96,11 @@ func TestSupernodalMatchesUpLooking(t *testing.T) {
 		for _, m := range []order.Method{order.Natural, order.RCM, order.MinimumDegree} {
 			sym := order.Analyze(a, m)
 			ap := a.PermuteSym(sym.Perm)
-			fs, err := FactorizeStrategy(ap, sym, StrategySupernodal)
+			fs, err := factorizeSupernodal(ap, sym)
 			if err != nil {
 				t.Fatalf("trial %d %v: supernodal: %v", trial, m, err)
 			}
-			fu, err := FactorizeStrategy(ap, sym, StrategyUpLooking)
+			fu, err := factorizeUpLooking(ap, sym)
 			if err != nil {
 				t.Fatalf("trial %d %v: up-looking: %v", trial, m, err)
 			}
@@ -149,7 +159,7 @@ func TestSupernodalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	ap := a.PermuteSym(sym.Perm)
 	n := a.Rows
 	run := func() ([]float64, []float64) {
-		f, err := FactorizeStrategy(ap, sym, StrategySupernodal)
+		f, err := factorizeSupernodal(ap, sym)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +195,8 @@ func TestSolveMultiBitIdenticalToSequential(t *testing.T) {
 	for i := range block {
 		block[i] = rng.NormFloat64()
 	}
-	for _, strat := range []Strategy{StrategyUpLooking, StrategySupernodal} {
-		f, err := FactorizeStrategy(ap, sym, strat)
+	for _, kernel := range []func(*sparse.CSR, *order.Symbolic) (*Factor, error){factorizeUpLooking, factorizeSupernodal} {
+		f, err := kernel(ap, sym)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,15 +253,15 @@ func TestSupernodalComplexMatchesSimplicial(t *testing.T) {
 			}
 		}
 		val := func(p int) complex128 { return dv[p] }
-		ss, err := AnalyzeSuper(pat, sym, order.SupernodeOptions{})
+		ss, err := analyzeSuper(pat, sym, order.SupernodeOptions{})
 		if err != nil {
-			t.Fatalf("trial %d: AnalyzeSuper: %v", trial, err)
+			t.Fatalf("trial %d: analyzeSuper: %v", trial, err)
 		}
-		fs, err := ss.FactorizeComplex(pat, val)
+		fs, err := ss.factorizeComplex(pat, val, nil)
 		if err != nil {
 			t.Fatalf("trial %d: supernodal complex: %v", trial, err)
 		}
-		fu, err := FactorizeComplex(pat, val, sym)
+		fu, err := factorizeComplexUpLooking(pat, val, sym)
 		if err != nil {
 			t.Fatalf("trial %d: simplicial complex: %v", trial, err)
 		}
@@ -310,15 +320,15 @@ func TestSupernodalRejectsIndefinite(t *testing.T) {
 	}
 	a := b.Build()
 	sym := order.Analyze(a, order.Natural)
-	_, err := FactorizeStrategy(a, sym, StrategySupernodal)
+	_, err := factorizeSupernodal(a, sym)
 	if !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
 	}
 }
 
 // TestFactorizeAutoDispatch checks the size threshold: small systems
-// keep the historical up-looking factor, large ones get the blocked
-// kernel, and lowering SupernodalMinOrder redirects small systems too.
+// keep the historical up-looking factor, systems at and above
+// supernodalMinOrder get the blocked kernel with consistent stats.
 func TestFactorizeAutoDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	small := randomSPD(rng, 50, 150)
@@ -328,16 +338,17 @@ func TestFactorizeAutoDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f.Supernodes() != 0 {
-		t.Fatalf("order 50 took the supernodal path below threshold %d", SupernodalMinOrder)
+		t.Fatalf("order 50 took the supernodal path below threshold %d", supernodalMinOrder)
 	}
-	defer func(old int) { SupernodalMinOrder = old }(SupernodalMinOrder)
-	SupernodalMinOrder = 16
-	f, err = Factorize(small, sym)
+	large := meshSPD(24, 24)
+	sym = order.Analyze(large, order.MinimumDegree)
+	lp := large.PermuteSym(sym.Perm)
+	f, err = Factorize(lp, sym)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Supernodes() == 0 {
-		t.Fatal("lowered threshold did not select the supernodal kernel")
+		t.Fatalf("order %d did not select the supernodal kernel", lp.Rows)
 	}
 	if f.Bytes() <= 0 || f.FlopEstimate() <= 0 {
 		t.Fatalf("supernodal stats: Bytes=%d FlopEstimate=%g", f.Bytes(), f.FlopEstimate())

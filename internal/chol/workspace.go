@@ -14,7 +14,7 @@ import (
 )
 
 // FactorWorkspace holds the reusable numeric buffers of supernodal
-// factorizations against one SuperSymbolic. Buffers are created lazily
+// factorizations against one Analysis. Buffers are created lazily
 // on first use (a real-only caller never pays for complex panels) and
 // retained across factorizations.
 //
@@ -24,9 +24,9 @@ import (
 // until the next factorization through the same workspace, and its
 // multi-RHS solves draw scratch from the workspace, so they must not
 // overlap each other either. Use one workspace per worker (the YSweep
-// pattern); the shared SuperSymbolic is immutable and safe to share.
+// pattern); the shared Analysis is immutable and safe to share.
 type FactorWorkspace struct {
-	ss *SuperSymbolic
+	ss *superSymbolic
 
 	val  []float64    // real packed panels
 	cval []complex128 // complex packed panels
@@ -39,12 +39,6 @@ type FactorWorkspace struct {
 
 	solveF [][]float64    // per-worker solve buffers, real
 	solveC [][]complex128 // per-worker solve buffers, complex
-}
-
-// NewWorkspace creates an empty workspace bound to this symbolic
-// structure. All buffers are allocated on first use.
-func (ss *SuperSymbolic) NewWorkspace() *FactorWorkspace {
-	return &FactorWorkspace{ss: ss}
 }
 
 // realPanels returns the packed real panel storage, zeroed: panel slots
@@ -125,7 +119,7 @@ func (ws *FactorWorkspace) complexSolveBufs(workers int) [][]complex128 {
 
 // Bytes returns the memory currently held by the workspace: packed
 // panels, diagonal, per-worker dense scratch, DAG run state, and solve
-// buffers. Together with SuperSymbolic's routing storage this is the
+// buffers. Together with the analysis's routing storage this is the
 // true peak footprint of a pooled factorization, which the Table 4
 // memory accounting reports.
 func (ws *FactorWorkspace) Bytes() int64 {

@@ -156,7 +156,7 @@ func mulVecComplexReal(a *sparse.CSR, dst, src []complex128) {
 // analysis (one symbolic shared by every shift, as in YSweep), and the
 // value alignment of both operands against the union storage.
 type shiftedBasisState struct {
-	sa         *chol.ShiftedAnalysis
+	an         *chol.Analysis
 	ws         *chol.FactorWorkspace
 	dPos, ePos []int
 }
@@ -168,12 +168,12 @@ type shiftedBasisState struct {
 func (t *Transformed) newShiftedBasisState() (*shiftedBasisState, error) {
 	pat := sparse.PatternUnion(t.dp, t.ep)
 	sym := order.Analyze(pat, order.Natural)
-	sa, err := chol.AnalyzeShifted(pat, sym)
+	an, err := chol.Analyze(pat, sym)
 	if err != nil {
 		return nil, err
 	}
 	dPos, ePos := alignUnionPositions(pat, t.dp, t.ep)
-	return &shiftedBasisState{sa: sa, ws: sa.NewWorkspace(), dPos: dPos, ePos: ePos}, nil
+	return &shiftedBasisState{an: an, ws: an.NewWorkspace(), dPos: dPos, ePos: ePos}, nil
 }
 
 // shiftCandidates generates the moment candidates of expansion point
@@ -227,7 +227,7 @@ func (t *Transformed) shiftCandidates(sb *shiftedBasisState, k, moments int, f f
 	}
 	//lint:ignore nondet stage wall-time accounting only, never feeds numeric results
 	t0 := time.Now()
-	cf, err := sb.sa.Factorize(val, sb.ws)
+	cf, err := sb.an.FactorizeComplex(val, sb.ws)
 	//lint:ignore nondet stage wall-time accounting only, never feeds numeric results
 	t.stats.Stage.ShiftFactorNs += time.Since(t0).Nanoseconds()
 	if err != nil {

@@ -4,68 +4,95 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
-	"repro/internal/chol"
+	"repro/internal/sparse"
 )
 
-// forceSupernodal lowers the kernel-dispatch threshold so the test
-// systems (too small for the default) take the supernodal blocked path,
-// restoring it on cleanup. Tests using it must not run in parallel.
-func forceSupernodal(t *testing.T) {
-	t.Helper()
-	old := chol.SupernodalMinOrder
-	chol.SupernodalMinOrder = 8
-	t.Cleanup(func() { chol.SupernodalMinOrder = old })
+// directSum joins two uncoupled systems into one: ports of a then b,
+// internal nodes of a then b. Its reduction and its admittance are the
+// direct sums of the halves', so a system above the supernodal kernel
+// threshold (512 internal nodes) can be checked against two halves
+// below it, which the up-looking kernel factors.
+func directSum(a, b *System) *System {
+	blk := func(x, y *sparse.CSR) *sparse.CSR {
+		out := sparse.NewBuilder(x.Rows+y.Rows, x.Cols+y.Cols)
+		for _, part := range []struct {
+			m      *sparse.CSR
+			r0, c0 int
+		}{{x, 0, 0}, {y, x.Rows, x.Cols}} {
+			for i := 0; i < part.m.Rows; i++ {
+				cols, vals := part.m.Row(i)
+				for p, j := range cols {
+					out.Add(part.r0+i, part.c0+j, vals[p])
+				}
+			}
+		}
+		return out.Build()
+	}
+	sys, err := NewSystem(blk(a.A, b.A), blk(a.B, b.B), blk(a.Q, b.Q), blk(a.R, b.R), blk(a.D, b.D), blk(a.E, b.E))
+	if err != nil {
+		panic(err)
+	}
+	return sys
 }
 
-// TestReduceSupernodalMatchesUpLooking runs the full reduction once per
-// kernel and requires the models to agree to tight tolerance: the
-// blocked factorization reorders floating-point sums, so bit equality
-// is not expected, but the poles and realized blocks must match to
-// rounding.
+// TestReduceSupernodalMatchesUpLooking reduces a 600-internal-node
+// system (supernodal kernel) and its two 300-node uncoupled halves
+// (up-looking kernel) and requires the models to agree to tight
+// tolerance: the blocked factorization reorders floating-point sums, so
+// bit equality is not expected, but the poles must be the union of the
+// halves' poles and A′/B′ their block-diagonal sum, to rounding.
 func TestReduceSupernodalMatchesUpLooking(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	sys := randomSystem(rng, 6, 140)
+	halves := []*System{randomSystem(rng, 3, 300), randomSystem(rng, 3, 300)}
+	sys := directSum(halves[0], halves[1])
 	opts := Options{FMax: 1e9, Tol: 0.05, DenseThreshold: 1 << 20}
 
-	up, upStats, err := Reduce(sys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if upStats.Supernodes != 0 {
-		t.Fatalf("order 140 took the supernodal kernel below threshold %d", chol.SupernodalMinOrder)
-	}
-	forceSupernodal(t)
 	sn, snStats, err := Reduce(sys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snStats.Supernodes == 0 {
-		t.Fatal("forced supernodal path reported zero supernodes")
+		t.Fatalf("order %d did not take the supernodal kernel", sys.N)
 	}
 	if snStats.FactorFlops <= 0 || snStats.CholeskyBytes <= 0 {
 		t.Fatalf("supernodal stats: flops %g, bytes %d", snStats.FactorFlops, snStats.CholeskyBytes)
 	}
-	if snStats.Solves != upStats.Solves {
-		t.Fatalf("solve counts diverge across kernels: %d vs %d", snStats.Solves, upStats.Solves)
+	var lambda []float64
+	off := 0
+	for h, half := range halves {
+		up, upStats, err := Reduce(half, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if upStats.Supernodes != 0 {
+			t.Fatalf("half %d: order %d took the supernodal kernel", h, half.N)
+		}
+		lambda = append(lambda, up.Lambda...)
+		for i := 0; i < half.M; i++ {
+			for j := 0; j < half.M; j++ {
+				if a, b := sn.A.At(off+i, off+j), up.A.At(i, j); math.Abs(a-b) > 1e-8*(1+math.Abs(b)) {
+					t.Fatalf("half %d A(%d,%d): %v supernodal vs %v up-looking", h, i, j, a, b)
+				}
+				if a, b := sn.B.At(off+i, off+j), up.B.At(i, j); math.Abs(a-b) > 1e-8*(1+math.Abs(b)) {
+					t.Fatalf("half %d B(%d,%d): %v supernodal vs %v up-looking", h, i, j, a, b)
+				}
+			}
+		}
+		off += half.M
 	}
-	if len(sn.Lambda) != len(up.Lambda) {
-		t.Fatalf("pole counts diverge: %d supernodal vs %d up-looking", len(sn.Lambda), len(up.Lambda))
+	sort.Sort(sort.Reverse(sort.Float64Slice(lambda)))
+	if len(lambda) == 0 {
+		t.Fatal("no poles retained: the fixture does not exercise Transform 2")
+	}
+	if len(sn.Lambda) != len(lambda) {
+		t.Fatalf("pole counts diverge: %d supernodal vs %d up-looking", len(sn.Lambda), len(lambda))
 	}
 	for i := range sn.Lambda {
-		if d := math.Abs(sn.Lambda[i] - up.Lambda[i]); d > 1e-9*(1+math.Abs(up.Lambda[i])) {
-			t.Fatalf("pole %d: %v supernodal vs %v up-looking", i, sn.Lambda[i], up.Lambda[i])
-		}
-	}
-	for i, v := range sn.A.Data {
-		if d := math.Abs(v - up.A.Data[i]); d > 1e-8*(1+math.Abs(up.A.Data[i])) {
-			t.Fatalf("A entry %d: %v vs %v", i, v, up.A.Data[i])
-		}
-	}
-	for i, v := range sn.B.Data {
-		if d := math.Abs(v - up.B.Data[i]); d > 1e-8*(1+math.Abs(up.B.Data[i])) {
-			t.Fatalf("B entry %d: %v vs %v", i, v, up.B.Data[i])
+		if d := math.Abs(sn.Lambda[i] - lambda[i]); d > 1e-9*(1+math.Abs(lambda[i])) {
+			t.Fatalf("pole %d: %v supernodal vs %v up-looking", i, sn.Lambda[i], lambda[i])
 		}
 	}
 }
@@ -75,9 +102,8 @@ func TestReduceSupernodalMatchesUpLooking(t *testing.T) {
 // factorization plus the blocked multi-RHS solves of both transforms
 // must leave no trace of the worker count in the reduced model.
 func TestReduceSupernodalDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	forceSupernodal(t)
 	rng := rand.New(rand.NewSource(11))
-	sys := randomSystem(rng, 7, 150)
+	sys := randomSystem(rng, 7, 600)
 	opts := Options{FMax: 2e9, Tol: 0.05, DenseThreshold: 1 << 20}
 
 	run := func() ([]float64, []float64, []float64, []float64) {
@@ -102,34 +128,43 @@ func TestReduceSupernodalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	bitsEqualSlice(t, "R", rP, rS)
 }
 
-// TestYSweepSupernodalMatchesSimplicial pins the shared-symbolic complex
-// path: admittance sweeps through the supernodal LDLᵀ must agree with
-// the simplicial evaluation to rounding at every frequency point.
+// TestYSweepSupernodalMatchesSimplicial pins the shared-analysis
+// complex path: admittance sweeps of a 560-node system through the
+// supernodal LDLᵀ must agree at every frequency point, to rounding, with
+// the simplicial evaluation of its two uncoupled halves.
 func TestYSweepSupernodalMatchesSimplicial(t *testing.T) {
 	freqs := []float64{1e6, 1e8, 1e9}
-	build := func() *System {
-		r := rand.New(rand.NewSource(55))
-		return randomSystem(r, 5, 130)
-	}
-	plain := build()
-	ysPlain, err := plain.YSweep(freqs, 2)
+	r := rand.New(rand.NewSource(55))
+	halves := []*System{randomSystem(r, 3, 280), randomSystem(r, 2, 280)}
+	sys := directSum(halves[0], halves[1])
+	ysSuper, err := sys.YSweep(freqs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceSupernodal(t)
-	super := build() // fresh system: yOnce must re-run under the new threshold
-	ysSuper, err := super.YSweep(freqs, 2)
-	if err != nil {
-		t.Fatal(err)
+	if !sys.yAn.Supernodal() {
+		t.Fatalf("order %d did not take the supernodal kernel", sys.N)
 	}
-	for k := range freqs {
-		for i := range ysPlain[k].Data {
-			gp, gs := ysPlain[k].Data[i], ysSuper[k].Data[i]
-			diff := gp - gs
-			mag := math.Hypot(real(gp), imag(gp))
-			if math.Hypot(real(diff), imag(diff)) > 1e-7*(1+mag) {
-				t.Fatalf("freq %d entry %d: %v simplicial vs %v supernodal", k, i, gp, gs)
+	off := 0
+	for h, half := range halves {
+		ysPlain, err := half.YSweep(freqs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if half.yAn.Supernodal() {
+			t.Fatalf("half %d: order %d took the supernodal kernel", h, half.N)
+		}
+		for k := range freqs {
+			for i := 0; i < half.M; i++ {
+				for j := 0; j < half.M; j++ {
+					gp, gs := ysPlain[k].At(i, j), ysSuper[k].At(off+i, off+j)
+					diff := gp - gs
+					mag := math.Hypot(real(gp), imag(gp))
+					if math.Hypot(real(diff), imag(diff)) > 1e-7*(1+mag) {
+						t.Fatalf("half %d freq %d entry (%d,%d): %v simplicial vs %v supernodal", h, k, i, j, gp, gs)
+					}
+				}
 			}
 		}
+		off += half.M
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"repro/internal/chol"
-	"repro/internal/order"
 	"repro/internal/sparse"
 )
 
@@ -43,19 +42,16 @@ type System struct {
 	// they are safe to run concurrently (see YSweep).
 	yOnce sync.Once
 	yErr  error
-	ySym  *order.Symbolic
-	yPat  *sparse.CSR
 	yDP   *sparse.CSR
 	yEP   *sparse.CSR
 	yQP   *sparse.CSR
 	yRP   *sparse.CSR
-	yDPos []int // position of each yPat entry in yDP (-1 if absent)
+	yDPos []int // position of each union-pattern entry in yDP (-1 if absent)
 	yEPos []int
-	// ySS is the supernodal symbolic structure of the union pattern (nil
-	// for small systems): analyzed once, then shared by the complex LDLᵀ
-	// of every frequency point of a sweep, so per-point work is purely
-	// numeric.
-	ySS *chol.SuperSymbolic
+	// yAn is the factorization analysis of the union pattern: analyzed
+	// once, then shared by the complex LDLᵀ of every frequency point of
+	// a sweep, so per-point work is purely numeric.
+	yAn *chol.Analysis
 }
 
 // ErrBadShape reports inconsistent block dimensions.

@@ -199,6 +199,19 @@ type StageTimes struct {
 	BasisUnionNs  int64 `json:"basis_union,omitempty"`
 }
 
+// Add accumulates o into st, field by field — the running totals /statz
+// reports.
+func (st *StageTimes) Add(o StageTimes) {
+	st.ParseNs += o.ParseNs
+	st.StampNs += o.StampNs
+	st.AssembleNs += o.AssembleNs
+	st.OrderNs += o.OrderNs
+	st.SymbolicNs += o.SymbolicNs
+	st.FactorNs += o.FactorNs
+	st.ShiftFactorNs += o.ShiftFactorNs
+	st.BasisUnionNs += o.BasisUnionNs
+}
+
 // CutoffFactor maps a relative error tolerance to the ratio f_c/f_max.
 // Dropping a pole term s²rᵀr/(1+sλ) perturbs the admittance by the factor
 // 1 − 1/√(1+(ω/ω_pole)²) at ω; bounding that by tol at ω_max gives
@@ -346,12 +359,13 @@ func Transform1Context(ctx context.Context, sys *System, opts Options) (*Transfo
 		}, stats, nil
 	}
 
-	// factorizeD routes large orders through an explicit supernodal
-	// analysis with a private workspace: the factor's many blocked
-	// multi-RHS solve passes (X, Z, back-projection) then draw their
-	// per-worker buffers from one pool instead of allocating per call.
-	// The workspace is used for this one factorization only, so the
-	// factor owns its storage exactly as in the unpooled path.
+	// factorizeD analyzes the ordered D once (chol.Analyze picks the
+	// kernel by order) and factors it through a private workspace: a
+	// supernodal factor's many blocked multi-RHS solve passes (X, Z,
+	// back-projection) then draw their per-worker buffers from one pool
+	// instead of allocating per call. The workspace is used for this one
+	// factorization only, so the factor owns its storage exactly as in
+	// the unpooled path.
 	// Every Analyze and factorizeD call folds its wall time into the
 	// per-stage accounting, so a recovery ladder that reorders and
 	// refactors reports the total time spent, not the winning rung's.
@@ -360,13 +374,9 @@ func Transform1Context(ctx context.Context, sys *System, opts Options) (*Transfo
 		stats.Stage.SymbolicNs += sym.SymbolicNs
 		//lint:ignore nondet stage wall-time accounting only, never feeds numeric results
 		t0 := time.Now()
-		var ss *chol.SuperSymbolic
-		if dp.Rows >= chol.SupernodalMinOrder {
-			var err error
-			ss, err = chol.AnalyzeSuper(dp, sym, order.SupernodeOptions{})
-			if err != nil {
-				return nil, err
-			}
+		an, err := chol.Analyze(dp, sym)
+		if err != nil {
+			return nil, err
 		}
 		// The supernodal amalgamation is symbolic work; everything after
 		// this point is the numeric factorization.
@@ -377,10 +387,7 @@ func Transform1Context(ctx context.Context, sys *System, opts Options) (*Transfo
 			//lint:ignore nondet stage wall-time accounting only, never feeds numeric results
 			stats.Stage.FactorNs += time.Since(t1).Nanoseconds()
 		}()
-		if ss == nil {
-			return chol.Factorize(dp, sym)
-		}
-		return ss.FactorizeOpt(dp, chol.ScheduleDAG, ss.NewWorkspace())
+		return an.Factorize(dp, an.NewWorkspace())
 	}
 
 	sym := order.Analyze(sys.D, opts.Ordering)

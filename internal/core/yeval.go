@@ -56,21 +56,17 @@ func (s *System) buildYEval() error {
 			}
 		}
 	}
-	s.ySym = sym
-	s.yPat = pat
 	s.yDP = dp
 	s.yEP = ep
 	s.yQP = s.Q.PermuteRows(sym.Perm).Transpose() // m×n: row i = column i of permuted Q
 	s.yRP = s.R.PermuteRows(sym.Perm).Transpose()
 	s.yDPos = dPos
 	s.yEPos = ePos
-	if s.N >= chol.SupernodalMinOrder {
-		ss, err := chol.AnalyzeSuper(pat, sym, order.SupernodeOptions{})
-		if err != nil {
-			return err
-		}
-		s.ySS = ss
+	an, err := chol.Analyze(pat, sym)
+	if err != nil {
+		return err
 	}
+	s.yAn = an
 	return nil
 }
 
@@ -120,23 +116,17 @@ func (s *System) yEval(sv complex128, ws *yWorkspace) (*dense.CMat, error) {
 		}
 		return v
 	}
-	var f *chol.ComplexFactor
-	var err error
-	if s.ySS != nil {
-		// Large system: reuse the supernodal structure analyzed once in
-		// buildYEval; each frequency point pays only the numeric panels —
-		// and with a sweep workspace, not even an allocation for those.
-		var fws *chol.FactorWorkspace
-		if ws != nil {
-			if ws.fws == nil {
-				ws.fws = s.ySS.NewWorkspace()
-			}
-			fws = ws.fws
+	// The analysis is shared across every frequency point, so each point
+	// pays only the numeric factorization — and with a sweep workspace
+	// (supernodal kernel), not even an allocation for it.
+	var fws *chol.FactorWorkspace
+	if ws != nil {
+		if ws.fws == nil {
+			ws.fws = s.yAn.NewWorkspace()
 		}
-		f, err = s.ySS.FactorizeComplexOpt(s.yPat, val, chol.ScheduleDAG, fws)
-	} else {
-		f, err = chol.FactorizeComplex(s.yPat, val, s.ySym)
+		fws = ws.fws
 	}
+	f, err := s.yAn.FactorizeComplex(val, fws)
 	if err != nil {
 		return nil, fmt.Errorf("core: factorization of D+sE at s=%v: %w", sv, err)
 	}

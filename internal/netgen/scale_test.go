@@ -147,13 +147,13 @@ func TestMillionNodeClockTreeFactorizes(t *testing.T) {
 	rec.SymbolicNs = sym.SymbolicNs
 	tFactor := time.Now()
 	dperm := sys.D.PermuteSym(sym.Perm)
-	ss, err := chol.AnalyzeSuper(dperm, sym, order.SupernodeOptions{})
+	an, err := chol.Analyze(dperm, sym)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := ss.NewWorkspace()
+	ws := an.NewWorkspace()
 	for pass := 0; pass < 2; pass++ {
-		f, err := ss.FactorizeOpt(dperm, chol.ScheduleDAG, ws)
+		f, err := an.Factorize(dperm, ws)
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
@@ -161,7 +161,7 @@ func TestMillionNodeClockTreeFactorizes(t *testing.T) {
 			rec.FactorizeNs = time.Since(tFactor).Nanoseconds()
 			t.Logf("factorized %d nodes in %v (order %v, symbolic %v, factorize %v): %d supernodes, %d B factor (%d B scratch)",
 				sys.N, time.Since(start), time.Duration(rec.OrderNs), time.Duration(rec.SymbolicNs),
-				time.Duration(rec.FactorizeNs), ss.NSuper(), f.Bytes(), f.ScratchBytes())
+				time.Duration(rec.FactorizeNs), f.Supernodes(), f.Bytes(), f.ScratchBytes())
 		}
 	}
 

@@ -2,16 +2,10 @@ package order
 
 import "repro/internal/sparse"
 
-// AMDMinOrder is the matrix order at or above which Analyze's
-// MinimumDegree method dispatches to AMD. Below it the simpler MinDegree
-// runs; the two produce different (both valid) permutations, so the
-// threshold is exported to let tests and benchmarks force either path.
-var AMDMinOrder = 512
-
 // AMD computes a fill-reducing permutation (new index -> old index) of
 // the symmetric pattern a using the approximate minimum degree algorithm
 // of Amestoy, Davis and Duff: a quotient graph with element absorption
-// (as in MinDegree) extended with supervariables. Indistinguishable
+// extended with supervariables. Indistinguishable
 // variables — equal adjacency sets after a pivot — are merged into a
 // weighted supervariable that is eliminated as a unit, and variables
 // whose entire adjacency lies inside the pivot's element are mass

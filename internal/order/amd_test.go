@@ -108,9 +108,80 @@ func TestAMDDeterministic(t *testing.T) {
 	}
 }
 
+// gridMinusPorts is the internal-node pattern of an nx×ny grid whose
+// nodes on every step-th row and column are ports — the D block of a
+// graded wide-band grid deck.
+func gridMinusPorts(nx, ny, step int) *sparse.CSR {
+	id := make([]int, nx*ny)
+	n := 0
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			id[y*nx+x] = -1
+			if x%step != step/2 || y%step != step/2 {
+				id[y*nx+x] = n
+				n++
+			}
+		}
+	}
+	b := sparse.NewBuilder(n, n)
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			i := id[y*nx+x]
+			if i < 0 {
+				continue
+			}
+			b.Add(i, i, 4)
+			if x+1 < nx && id[y*nx+x+1] >= 0 {
+				b.AddSym(i, id[y*nx+x+1], -1)
+			}
+			if y+1 < ny && id[(y+1)*nx+x] >= 0 {
+				b.AddSym(i, id[(y+1)*nx+x], -1)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// mnaPattern is the symmetrized MNA pattern the simulator orders (the
+// pattern of A + Aᵀ with a unit diagonal): two inverters driving each
+// other across a nseg-segment RC line, with a branch row per voltage
+// source (supply and input), as in the Figure 2 circuit.
+func mnaPattern(nseg int) *sparse.CSR {
+	// Nodes: line 0..nseg (line 0 = driver output), then in1, vdd, out2,
+	// then the two source branch rows.
+	in1, vdd, out2 := nseg+1, nseg+2, nseg+3
+	brVdd, brIn := nseg+4, nseg+5
+	n := nseg + 6
+	b := sparse.NewBuilder(n, n)
+	for i := 0; i < n; i++ {
+		b.Add(i, i, 1)
+	}
+	for i := 0; i < nseg; i++ {
+		b.AddSym(i, i+1, 1)
+	}
+	// MOSFETs couple drain, gate and source pairwise (ground dropped).
+	mos := func(d, g, s int) {
+		b.AddSym(d, g, 1)
+		if s >= 0 {
+			b.AddSym(d, s, 1)
+			b.AddSym(g, s, 1)
+		}
+	}
+	mos(0, in1, -1)
+	mos(0, in1, vdd)
+	mos(out2, nseg, -1)
+	mos(out2, nseg, vdd)
+	b.AddSym(brVdd, vdd, 1)
+	b.AddSym(brIn, in1, 1)
+	return b.Build()
+}
+
 func TestAMDFillNoWorseThanMinDegree(t *testing.T) {
 	// On the fixture meshes the supervariable AMD must match or beat the
-	// plain minimum-degree ordering it replaces at scale.
+	// plain minimum-degree ordering it replaced. Analyze runs AMD at
+	// every order, so the fixtures include the sub-512 patterns of the
+	// service traffic (ladders, graded grids) and the simulator's MNA
+	// systems.
 	fixtures := []struct {
 		name string
 		a    *sparse.CSR
@@ -120,6 +191,9 @@ func TestAMDFillNoWorseThanMinDegree(t *testing.T) {
 		{"grid3d-7x7x7", grid3D(7, 7, 7)},
 		{"tree-1023", binaryTree(1023)},
 		{"path-400", pathGraph(400)},
+		{"ladder-400seg", pathGraph(399)},
+		{"graded-grid-14x14", gridMinusPorts(14, 14, 5)},
+		{"sim-mna-100seg", mnaPattern(100)},
 	}
 	for _, f := range fixtures {
 		amd := fillFor(f.a, AMD(f.a))
@@ -152,29 +226,22 @@ func TestAMDFillMatchesBruteForce(t *testing.T) {
 }
 
 func TestAnalyzeDispatchesAMD(t *testing.T) {
-	// Above the threshold Analyze must use AMD, below it MinDegree; both
-	// observable because the two orderings differ on a shuffled grid.
-	a := grid2D(25, 25).PermuteSym(rand.New(rand.NewSource(34)).Perm(625))
-	defer func(old int) { AMDMinOrder = old }(AMDMinOrder)
-
-	AMDMinOrder = 1 // force AMD
-	sym := Analyze(a, MinimumDegree)
-	want := AMD(a)
-	for i := range want {
-		if sym.Perm[i] != want[i] {
-			t.Fatalf("Analyze above threshold did not use AMD (pos %d)", i)
+	// Analyze's MinimumDegree method is AMD at every order, small and
+	// large, and records its stage times.
+	rng := rand.New(rand.NewSource(34))
+	for _, a := range []*sparse.CSR{
+		grid2D(25, 25).PermuteSym(rng.Perm(625)),
+		grid2D(9, 11).PermuteSym(rng.Perm(99)),
+	} {
+		sym := Analyze(a, MinimumDegree)
+		want := AMD(a)
+		for i := range want {
+			if sym.Perm[i] != want[i] {
+				t.Fatalf("order %d: Analyze did not use AMD (pos %d)", a.Rows, i)
+			}
 		}
-	}
-	if sym.OrderNs < 0 || sym.SymbolicNs <= 0 {
-		t.Errorf("stage times not recorded: order %d symbolic %d", sym.OrderNs, sym.SymbolicNs)
-	}
-
-	AMDMinOrder = 1 << 30 // force MinDegree
-	sym = Analyze(a, MinimumDegree)
-	want = MinDegree(a)
-	for i := range want {
-		if sym.Perm[i] != want[i] {
-			t.Fatalf("Analyze below threshold did not use MinDegree (pos %d)", i)
+		if sym.OrderNs < 0 || sym.SymbolicNs <= 0 {
+			t.Errorf("order %d: stage times not recorded: order %d symbolic %d", a.Rows, sym.OrderNs, sym.SymbolicNs)
 		}
 	}
 }

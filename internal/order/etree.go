@@ -15,11 +15,10 @@ import (
 type Method int
 
 const (
-	// MinimumDegree orders by quotient-graph minimum external degree with
-	// element absorption; the default, best for the strongly connected 3-D
-	// meshes the paper targets. At order >= AMDMinOrder Analyze dispatches
-	// to the supervariable AMD variant; below it the simpler MinDegree
-	// runs and doubles as AMD's correctness oracle.
+	// MinimumDegree orders by approximate minimum degree (AMD): a
+	// quotient graph with element absorption and supervariables; the
+	// default, best for the strongly connected 3-D meshes the paper
+	// targets. It runs at every order.
 	MinimumDegree Method = iota
 	// RCM orders by reverse Cuthill–McKee from a pseudo-peripheral start
 	// node, producing banded factors; kept as a robust cross-check.
@@ -78,11 +77,7 @@ func Analyze(a *sparse.CSR, method Method) *Symbolic {
 	var perm []int
 	switch method {
 	case MinimumDegree:
-		if n >= AMDMinOrder {
-			perm = AMD(a)
-		} else {
-			perm = MinDegree(a)
-		}
+		perm = AMD(a)
 	case RCM:
 		perm = ReverseCuthillMcKee(a)
 	case Natural:

@@ -2,7 +2,7 @@
 // pool in par.go. Do hands out the iterations of one flat loop; RunDAG
 // hands out the tasks of a precedence DAG, firing each task the moment
 // its last dependency completes instead of barriering on level
-// boundaries. The supernodal Cholesky is the motivating caller: its
+// boundaries. The supernodal Cholesky is the motivating caller: an
 // elimination-tree level schedule leaves workers idle whenever one slow
 // panel tail-gates a level, while the DAG schedule keeps every worker
 // busy as long as any panel is ready.

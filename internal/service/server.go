@@ -160,7 +160,8 @@ type Server struct {
 
 	// Cumulative per-stage wall time of every reduction this process led
 	// (cache hits and followers add nothing — the work ran once).
-	stageStamp, stageAssemble, stageOrder, stageSymbolic, stageFactor atomic.Int64
+	stageMu     sync.Mutex
+	stageTotals pact.StageTimes
 
 	// reduceFn runs one reduction; tests substitute it to control timing
 	// and outcomes without multi-second decks.
@@ -233,11 +234,9 @@ func (s *Server) runReduction(ctx context.Context, deck *netlist.Deck, p Params)
 // decks on the request path before the flight, so its cost shows up in
 // the request latency, not the reduction's stage accounting).
 func (s *Server) recordStages(st pact.StageTimes) {
-	s.stageStamp.Add(st.StampNs)
-	s.stageAssemble.Add(st.AssembleNs)
-	s.stageOrder.Add(st.OrderNs)
-	s.stageSymbolic.Add(st.SymbolicNs)
-	s.stageFactor.Add(st.FactorNs)
+	s.stageMu.Lock()
+	s.stageTotals.Add(st)
+	s.stageMu.Unlock()
 }
 
 // acquireSlot admits the caller into the bounded worker pool: it sheds
@@ -434,28 +433,25 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 // Snapshot assembles the /statz view; exported so cmd/rcfitd and
 // pactbench read the same numbers the endpoint serves.
 func (s *Server) Snapshot() Stats {
+	s.stageMu.Lock()
+	stages := s.stageTotals
+	s.stageMu.Unlock()
 	return Stats{
-		UptimeNs:   time.Since(s.start).Nanoseconds(),
-		Draining:   s.draining.Load(),
-		Workers:    s.cfg.Workers,
-		QueueLimit: s.cfg.QueueDepth,
-		QueueDepth: s.waiting.Load(),
-		Inflight:   s.inflight.Load(),
-		Requests:   s.requests.Load(),
-		Completed:  s.completed.Load(),
-		Failed:     s.failed.Load(),
-		Shed:       s.shed.Load(),
-		Timeouts:   s.timeouts.Load(),
-		Degraded:   s.degraded.Load(),
-		Cache:      s.cache.snapshot(),
-		Flights:    s.flights.snapshot(),
-		StageTotals: pact.StageTimes{
-			StampNs:    s.stageStamp.Load(),
-			AssembleNs: s.stageAssemble.Load(),
-			OrderNs:    s.stageOrder.Load(),
-			SymbolicNs: s.stageSymbolic.Load(),
-			FactorNs:   s.stageFactor.Load(),
-		},
+		UptimeNs:           time.Since(s.start).Nanoseconds(),
+		Draining:           s.draining.Load(),
+		Workers:            s.cfg.Workers,
+		QueueLimit:         s.cfg.QueueDepth,
+		QueueDepth:         s.waiting.Load(),
+		Inflight:           s.inflight.Load(),
+		Requests:           s.requests.Load(),
+		Completed:          s.completed.Load(),
+		Failed:             s.failed.Load(),
+		Shed:               s.shed.Load(),
+		Timeouts:           s.timeouts.Load(),
+		Degraded:           s.degraded.Load(),
+		Cache:              s.cache.snapshot(),
+		Flights:            s.flights.snapshot(),
+		StageTotals:        stages,
 		WorkspaceLastBytes: s.wsLast.Load(),
 		WorkspacePeakBytes: s.wsPeak.Load(),
 	}

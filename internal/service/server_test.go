@@ -120,6 +120,30 @@ func TestReduceMultiPointSharesCacheAcrossShiftOrder(t *testing.T) {
 	}
 }
 
+// TestStatzStageTotalsIncludeMultiPoint: a multi-point reduction's
+// shifted-factorization and basis-union stages must reach the /statz
+// stage totals, beside the single-point stages.
+func TestStatzStageTotalsIncludeMultiPoint(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ladder := netgen.Ladder(60, 250, 1.35e-12).String()
+	if code, _, _, _ := post(t, s, ladder, "fmax=5e9&shifts=0,1e9,5e9&portcluster=2"); code != http.StatusOK {
+		t.Fatalf("multi-point POST: %d", code)
+	}
+	code, body := get(t, s, "/statz")
+	if code != http.StatusOK {
+		t.Fatalf("statz: %d", code)
+	}
+	var st Stats
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("statz JSON: %v\n%s", err, body)
+	}
+	tot := st.StageTotals
+	if tot.ShiftFactorNs <= 0 || tot.BasisUnionNs <= 0 || tot.FactorNs <= 0 {
+		t.Fatalf("stage totals %+v: want non-zero factor, shift_factor and basis_union", tot)
+	}
+}
+
 func TestReduceRejectsBadRequests(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()

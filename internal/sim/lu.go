@@ -242,5 +242,5 @@ func luColumnOrder(n int, colPtr, rowIdx []int) []int {
 			}
 		}
 	}
-	return order.MinDegree(b.Build())
+	return order.AMD(b.Build())
 }

@@ -46,7 +46,8 @@ type Model = core.ReducedModel
 type ReduceStats = core.Stats
 
 // StageTimes is the per-stage wall-time breakdown carried by
-// ReduceStats.Stage (parse, stamp, assemble, order, symbolic, factor).
+// ReduceStats.Stage (parse, stamp, assemble, order, symbolic, factor,
+// and for multi-point reductions shift_factor and basis_union).
 type StageTimes = core.StageTimes
 
 // Ordering selects the fill-reducing ordering of the internal conductance

@@ -222,8 +222,8 @@ func TestDeterminism(t *testing.T) {
 // — poles, connection rows, port matrices, every float64 bit — must not
 // depend on the worker count. The grid is big enough to engage the
 // chunked stamping loop (well past one 2048-element chunk), the
-// parallel triplet→CSR build, and the AMD ordering path
-// (order.AMDMinOrder internal nodes), so a scheduling leak anywhere in
+// parallel triplet→CSR build, and the supernodal kernel (at least 512
+// internal nodes), so a scheduling leak anywhere in
 // stamp → sparse → order → factor shows up as a bit difference here.
 func TestReducedModelGOMAXPROCSInvariant(t *testing.T) {
 	deck, ports, err := netgen.PowerGrid(netgen.PowerGridPreset(3600))

@@ -79,6 +79,14 @@ leg "invariant-checked tests (-tags pactcheck)"
 go test -tags pactcheck ./internal/check/ ./internal/core/ ./internal/prima/ \
     ./internal/lanczos/ ./internal/stamp/ ./internal/sim/ ./internal/resilience/...
 
+leg "perfbench module (vet + test)"
+# perfbench/ is its own module (replace repro => ../), compiled against
+# core.Options, core.Transform1Context, Stats.Stage, stamp.Realize and
+# service.New. The root `go test ./...` does not reach it, so without
+# this leg an API break would first fail the benchmark run.
+go -C perfbench vet ./...
+go -C perfbench test ./...
+
 leg "pactbench -json smoke"
 go run ./cmd/pactbench -json /tmp/pactbench-smoke.json -benchset kernels -benchtime 10ms
 rm -f /tmp/pactbench-smoke.json
