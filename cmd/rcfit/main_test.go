@@ -107,6 +107,28 @@ c1 c 0 1p
 	}
 }
 
+// TestRunExtraPortsNormalized checks that -ports names are matched the
+// way the parser reads node fields: case-insensitively and with the
+// spaces of a "n1, n2" list trimmed.
+func TestRunExtraPortsNormalized(t *testing.T) {
+	deck := `pure rc, ports named in upper case
+V1 N0 0 DC 1
+R1 N0 N1 100
+R2 N1 N2 100
+C1 N2 0 1P
+.END
+`
+	for _, ports := range []string{"N2", "n1, n2"} {
+		var out, errw bytes.Buffer
+		if err := run(context.Background(), []string{"-fmax", "1e9", "-ports", ports, "-q"}, strings.NewReader(deck), &out, &errw); err != nil {
+			t.Fatalf("-ports %q: %v", ports, err)
+		}
+		if !strings.Contains(out.String(), " n2 ") && !strings.Contains(out.String(), " n2\n") {
+			t.Fatalf("-ports %q: forced port n2 missing from reduced deck:\n%s", ports, out.String())
+		}
+	}
+}
+
 func TestRunSubcktOutput(t *testing.T) {
 	in := strings.NewReader(netgen.Ladder(40, 250, 1.35e-12).String())
 	var out, errw bytes.Buffer

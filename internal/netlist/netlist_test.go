@@ -215,15 +215,17 @@ v4 e 0 ac 2 90
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"t\nr1 a b\n.end\n",            // short resistor
-		"t\nx1 a b c sub\n.end\n",      // unsupported element
-		"t\n+ continuation first\n",    // continuation with no card
-		"t\nr1 a b 1k\nq1 a b c m\n",   // unsupported type q
-		"t\n.model m1 diode is=1\n",    // unsupported model type
-		"t\nv1 a 0 pulse(1\n.end\n",    // unbalanced paren
-		"t\nm1 d g s b\n.end\n",        // missing model name
-		"t\nv1 a 0 pwl(0 1 2)\n.end\n", // odd pwl pairs
-		"t\nc1 a b 1x=\n.end\n",        // garbage value? (parses as 1) -- replaced below
+		"t\nr1 a b\n.end\n",                                   // short resistor
+		"t\nx1 a b c sub\n.end\n",                             // unsupported element
+		"t\n+ continuation first\n",                           // continuation with no card
+		"t\nr1 a b 1k\nq1 a b c m\n",                          // unsupported type q
+		"t\n.model m1 diode is=1\n",                           // unsupported model type
+		"t\nv1 a 0 pulse(1\n.end\n",                           // unbalanced paren
+		"t\nm1 d g s b\n.end\n",                               // missing model name
+		"t\nv1 a 0 pwl(0 1 2)\n.end\n",                        // odd pwl pairs
+		"t\nc1 0(0\n.end\n",                                   // parenthesis as a node
+		"t\n.subckt s p q\nr1 p q 1\n.ends\nx1 a ) s\n.end\n", // parenthesis in an instance's nodes
+		"t\nc1 a b 1x=\n.end\n",                               // garbage value? (parses as 1) -- replaced below
 	}
 	bad = bad[:len(bad)-1]
 	for _, s := range bad {

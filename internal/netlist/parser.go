@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Parse reads a SPICE deck. Following SPICE convention the first line is
@@ -86,14 +88,15 @@ func Parse(r io.Reader) (*Deck, error) {
 // between streamed card dispatches.
 type parseState struct {
 	deck *Deck
-	sub  *Subckt // non-nil while inside a .subckt body
+	sub  *Subckt  // non-nil while inside a .subckt body
+	toks []string // token scratch, reused card to card
 }
 
 // dispatch routes one complete card: subcircuit delimiters update the
 // nesting state, everything else lands in the deck or the open subckt.
 func (st *parseState) dispatch(card string) error {
-	fields := strings.Fields(card)
-	if len(fields) > 0 {
+	if card[0] == '.' {
+		fields := strings.Fields(card)
 		switch fields[0] {
 		case ".subckt":
 			if st.sub != nil {
@@ -123,18 +126,37 @@ func (st *parseState) dispatch(card string) error {
 	if st.sub != nil {
 		target = &st.sub.Elements
 	}
-	return parseCard(st.deck, target, card)
+	st.toks = tokenize(st.toks[:0], card)
+	return parseCard(st.deck, target, st.toks, card)
 }
 
 // ParseString parses a deck held in a string.
 func ParseString(s string) (*Deck, error) { return Parse(strings.NewReader(s)) }
 
-func parseCard(deck *Deck, target *[]Element, card string) error {
-	toks := tokenize(card)
+// parseCard appends the element one card declares to target, or
+// records a dot card in the deck; toks is the card's tokenization.
+func parseCard(deck *Deck, target *[]Element, toks []string, card string) error {
 	if len(toks) == 0 {
 		return nil
 	}
 	name := toks[0]
+	// A parenthesis is a token of its own, never a node name: accepted as
+	// one, it would not survive a write and re-parse once flattening
+	// prefixed it ("x1.(").
+	nodes := 0
+	switch name[0] {
+	case 'r', 'c', 'd', 'l', 'v', 'i':
+		nodes = 2
+	case 'm':
+		nodes = 4
+	case 'x':
+		nodes = len(toks) - 2
+	}
+	for _, t := range toks[1:max(1, min(1+nodes, len(toks)))] {
+		if t == "(" || t == ")" {
+			return fmt.Errorf("netlist: card %q: %q is not a node name", card, t)
+		}
+	}
 	switch name[0] {
 	case '.':
 		return parseDot(deck, name, toks[1:], card)
@@ -397,30 +419,62 @@ func buildWave(kind string, v []float64) (Waveform, error) {
 	return nil, fmt.Errorf("netlist: unknown waveform %q", kind)
 }
 
-// tokenize splits a card into fields, separating parentheses and commas
-// into their own tokens and keeping key=value tokens intact.
-func tokenize(card string) []string {
-	var b strings.Builder
-	for _, ch := range card {
-		switch ch {
-		case '(', ')':
-			b.WriteByte(' ')
-			b.WriteRune(ch)
-			b.WriteByte(' ')
-		case ',':
-			b.WriteByte(' ')
+// tokenize appends the fields of a card to toks in one scan and returns
+// the extended slice. Fields are substrings of the card: runs of Unicode
+// white space (unicode.IsSpace) and commas separate fields, parentheses
+// are fields of their own, and key=value stays one field. Bytes that are
+// not valid UTF-8 are never separators and are kept verbatim inside
+// their field.
+func tokenize(toks []string, card string) []string {
+	start := -1 // first byte of the open field, -1 between fields
+	for i := 0; i < len(card); {
+		ch, size := rune(card[i]), 1
+		var sep, paren bool
+		switch {
+		case ch == '(' || ch == ')':
+			sep, paren = true, true
+		case ch == ',' || ch == ' ':
+			sep = true
+		case ch < utf8.RuneSelf:
+			sep = uint32(ch-'\t') <= '\r'-'\t' // \t \n \v \f \r
 		default:
-			b.WriteRune(ch)
+			ch, size = utf8.DecodeRuneInString(card[i:])
+			sep = unicode.IsSpace(ch)
 		}
+		switch {
+		case sep:
+			if start >= 0 {
+				toks = append(toks, card[start:i])
+				start = -1
+			}
+			if paren {
+				toks = append(toks, card[i:i+1])
+			}
+		case start < 0:
+			start = i
+		}
+		i += size
 	}
-	return strings.Fields(b.String())
+	if start >= 0 {
+		toks = append(toks, card[start:])
+	}
+	return toks
 }
 
+// norm maps a lowercased node field to its canonical name.
 func norm(node string) string {
 	if node == "gnd" {
 		return Ground
 	}
 	return node
+}
+
+// NormNode normalizes a node name given outside a deck (a command-line
+// port list, say) the way Parse normalizes the node fields of a card:
+// surrounding white space trimmed, lowercased, and "gnd" mapped to
+// Ground.
+func NormNode(name string) string {
+	return norm(strings.ToLower(strings.TrimSpace(name)))
 }
 
 // Write renders the deck back to SPICE text: title, models, subcircuit

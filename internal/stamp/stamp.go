@@ -37,11 +37,18 @@ type Extraction struct {
 	// DroppedElements are RC cards in components not connected to any
 	// port; they cannot affect the ports and are removed.
 	DroppedElements []netlist.Element
-	// StampNs is the wall time of element classification, port
-	// detection, connectivity pruning and the (parallel) triplet
-	// stamping loop; AssembleNs covers the triplet-to-CSR builds and the
-	// port/internal partition. Together they are the front end's share
-	// of core.Stats stage accounting.
+	// DeckNodes, DeckR and DeckC count the input deck as the interning
+	// pass saw it: distinct non-ground node names over every element,
+	// and the elements whose names start with 'r' and 'c' — the lengths
+	// of Deck.NodeNames and Deck.ElementsOfType('r'/'c').
+	DeckNodes, DeckR, DeckC int
+	// StampNs is the wall time of everything from the deck's element
+	// list to the merged triplets: the node-interning pass (which also
+	// classifies elements and counts the deck), port detection,
+	// first-appearance ordering, connectivity pruning and the (parallel)
+	// triplet stamping loop. AssembleNs covers the triplet-to-CSR builds
+	// and the port/internal partition. Together they are the front end's
+	// share of core.Stats stage accounting.
 	StampNs    int64
 	AssembleNs int64
 }
@@ -61,119 +68,146 @@ var errAssembleFault = errors.New("stamp: injected assembly fault")
 // partitioned System. Following RCFIT, a node becomes a port when it is
 // connected to a resistor or capacitor and also to a device other than a
 // resistor or capacitor; ground is the implicit common node. ExtraPorts
-// lets the caller force nodes (e.g. observation points) to be ports.
+// lets the caller force nodes (e.g. observation points) to be ports;
+// their names are normalized like the parser's node fields (trimmed,
+// lowercased, "gnd" is ground).
+//
+// Node names are hashed once: a single pass over the deck interns every
+// terminal into a dense int32 id (ground is 0, the rest in deck order),
+// and port detection, ordering, pruning and stamping all index slices by
+// id from there on.
 func Extract(deck *netlist.Deck, extraPorts ...string) (*Extraction, error) {
 	tStamp := time.Now()
 	ex := &Extraction{}
-	// Pre-size the classification maps, node index and triplet buffers
-	// from the deck's element counts: growing them from zero showed up
-	// as allocation churn in the million-node profile.
-	nRC := 0
-	for _, e := range deck.Elements {
-		switch e.(type) {
-		case *netlist.Resistor, *netlist.Capacitor:
-			nRC++
+	nElems := len(deck.Elements)
+	// RC decks carry about two cards per node; the hint only pre-sizes.
+	hint := nElems/2 + 1
+	ids := make(map[string]int32, hint)
+	ids[netlist.Ground] = 0
+	names := append(make([]string, 0, hint), netlist.Ground) // id -> name
+	// isPort[id]: a non-RC element touches the node, or the caller
+	// forced it; among RC nodes these are the ports.
+	isPort := append(make([]bool, 0, hint), false)
+	intern := func(name string) int32 {
+		id, ok := ids[name]
+		if !ok {
+			id = int32(len(names))
+			ids[name] = id
+			names = append(names, name)
+			isPort = append(isPort, false)
 		}
+		return id
 	}
-	ex.RCElements = make([]netlist.Element, 0, nRC)
-	if rest := len(deck.Elements) - nRC; rest > 0 {
-		ex.OtherElements = make([]netlist.Element, 0, rest)
-	}
-	touchRC := make(map[string]bool, nRC+1)
-	touchOther := make(map[string]bool, 2*(len(deck.Elements)-nRC)+1)
+	// rcEnds holds the two terminal ids of each RC element, parallel to
+	// ex.RCElements.
+	ex.RCElements = make([]netlist.Element, 0, nElems)
+	rcEnds := make([]int32, 0, 2*nElems)
 	for _, e := range deck.Elements {
-		switch e.(type) {
-		case *netlist.Resistor, *netlist.Capacitor:
-			ex.RCElements = append(ex.RCElements, e)
-			for _, n := range e.Nodes() {
-				touchRC[n] = true
+		if name := e.Name(); name != "" {
+			switch name[0] {
+			case 'r':
+				ex.DeckR++
+			case 'c':
+				ex.DeckC++
 			}
+		}
+		switch el := e.(type) {
+		case *netlist.Resistor:
+			ex.RCElements = append(ex.RCElements, e)
+			rcEnds = append(rcEnds, intern(el.N1), intern(el.N2))
+		case *netlist.Capacitor:
+			ex.RCElements = append(ex.RCElements, e)
+			rcEnds = append(rcEnds, intern(el.N1), intern(el.N2))
 		default:
 			ex.OtherElements = append(ex.OtherElements, e)
 			for _, n := range e.Nodes() {
-				touchOther[n] = true
+				isPort[intern(n)] = true
 			}
 		}
 	}
-	force := map[string]bool{}
-	for _, p := range extraPorts {
-		force[p] = true
+	ex.DeckNodes = len(names) - 1
+	forcedNames := make([]string, len(extraPorts))
+	for i, p := range extraPorts {
+		forcedNames[i] = netlist.NormNode(p)
+		if id, ok := ids[forcedNames[i]]; ok {
+			isPort[id] = true
+		}
 	}
 	// Node order: first appearance among RC elements; ports first.
-	index := make(map[string]int, nRC+1)
-	var portNames, internalNames []string
-	for _, e := range ex.RCElements {
-		for _, n := range e.Nodes() {
-			if n == netlist.Ground {
-				continue
-			}
-			if _, seen := index[n]; seen {
-				continue
-			}
-			index[n] = -1 // placeholder
-			if touchOther[n] || force[n] {
-				portNames = append(portNames, n)
-			} else {
-				internalNames = append(internalNames, n)
-			}
+	// index[id] is -1 for a node no RC element touches and -2 for one
+	// seen but not yet numbered.
+	index := make([]int32, len(names))
+	for i := range index {
+		index[i] = -1
+	}
+	var portIDs, internalIDs []int32
+	for _, id := range rcEnds {
+		if id == 0 || index[id] != -1 {
+			continue
+		}
+		index[id] = -2
+		if isPort[id] {
+			portIDs = append(portIDs, id)
+		} else {
+			internalIDs = append(internalIDs, id)
 		}
 	}
-	for _, p := range extraPorts {
-		if _, seen := index[p]; !seen {
+	for _, p := range forcedNames {
+		if id, ok := ids[p]; !ok || id == 0 || index[id] == -1 {
 			return nil, fmt.Errorf("stamp: requested port %q does not touch the RC network", p)
 		}
 	}
 	// Drop RC components not reachable from any port or ground. Union-find
-	// over RC nodes, with ground and every port in one "anchored" group.
-	parent := make(map[string]string, nRC+1)
-	var find func(string) string
-	find = func(x string) string {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
+	// over node ids, with ground and every port in one "anchored" group.
+	parent := make([]int32, len(names))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
-		if p == x {
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
+		return x
 	}
-	union := func(a, b string) { parent[find(a)] = find(b) }
-	for _, n := range portNames {
-		union(n, netlist.Ground)
+	for _, id := range portIDs {
+		parent[find(id)] = find(0)
 	}
-	for _, e := range ex.RCElements {
-		ns := e.Nodes()
-		union(ns[0], ns[1])
+	for k := 0; k < len(rcEnds); k += 2 {
+		parent[find(rcEnds[k])] = find(rcEnds[k+1])
 	}
-	anchored := find(netlist.Ground)
-	var kept []netlist.Element
-	for _, e := range ex.RCElements {
-		if find(e.Nodes()[0]) == anchored {
-			kept = append(kept, e)
-		} else {
+	anchored := find(0)
+	kept := 0
+	for k, e := range ex.RCElements {
+		a, b := rcEnds[2*k], rcEnds[2*k+1]
+		if find(a) != anchored {
 			ex.DroppedElements = append(ex.DroppedElements, e)
+			continue
+		}
+		ex.RCElements[kept] = e
+		rcEnds[2*kept], rcEnds[2*kept+1] = a, b
+		kept++
+	}
+	ex.RCElements = ex.RCElements[:kept]
+	rcEnds = rcEnds[:2*kept]
+	keepInternal := internalIDs[:0]
+	for _, id := range internalIDs {
+		if find(id) == anchored {
+			keepInternal = append(keepInternal, id)
 		}
 	}
-	ex.RCElements = kept
-	keepInternal := internalNames[:0]
-	for _, n := range internalNames {
-		if find(n) == anchored {
-			keepInternal = append(keepInternal, n)
-		} else {
-			delete(index, n)
-		}
-	}
-	internalNames = keepInternal
+	internalIDs = keepInternal
 
-	m, n := len(portNames), len(internalNames)
-	for i, name := range portNames {
-		index[name] = i
+	m, n := len(portIDs), len(internalIDs)
+	portNames := make([]string, m)
+	for i, id := range portIDs {
+		index[id] = int32(i)
+		portNames[i] = names[id]
 	}
-	for i, name := range internalNames {
-		index[name] = m + i
+	internalNames := make([]string, n)
+	for i, id := range internalIDs {
+		index[id] = int32(m + i)
+		internalNames[i] = names[id]
 	}
 	// Stamp the element loop in parallel: fixed-size chunks of the
 	// element slice fill chunk-indexed triplet buckets (iteration-owned —
@@ -189,9 +223,9 @@ func Extract(deck *netlist.Deck, extraPorts ...string) (*Extraction, error) {
 		cv     []float64
 		err    error
 	}
-	nElems := len(ex.RCElements)
-	buckets := make([]triBucket, (nElems+stampChunk-1)/stampChunk)
-	par.ForChunks(nElems, stampChunk, func(_, lo, hi int) {
+	nRC := len(ex.RCElements)
+	buckets := make([]triBucket, (nRC+stampChunk-1)/stampChunk)
+	par.ForChunks(nRC, stampChunk, func(_, lo, hi int) {
 		ci := lo / stampChunk
 		bk := &buckets[ci]
 		if inject.Enabled && inject.ShouldFail(inject.StampAssemble, ci) {
@@ -199,13 +233,26 @@ func Extract(deck *netlist.Deck, extraPorts ...string) (*Extraction, error) {
 				fmt.Sprintf("stamping chunk %d failed", ci), nil, errAssembleFault)
 			return
 		}
-		est := 4 * (hi - lo)
-		bk.gr = make([]int, 0, est)
-		bk.gc = make([]int, 0, est)
-		bk.gv = make([]float64, 0, est)
-		bk.cr = make([]int, 0, est)
-		bk.cc = make([]int, 0, est)
-		bk.cv = make([]float64, 0, est)
+		// Size each bucket from its own cards: four triplets per
+		// ungrounded card, one per card grounded at one end.
+		estG, estC := 0, 0
+		for k := lo; k < hi; k++ {
+			w := 4
+			if a, b := rcEnds[2*k], rcEnds[2*k+1]; a == 0 || b == 0 {
+				w = 1
+			}
+			if _, ok := ex.RCElements[k].(*netlist.Resistor); ok {
+				estG += w
+			} else {
+				estC += w
+			}
+		}
+		bk.gr = make([]int, 0, estG)
+		bk.gc = make([]int, 0, estG)
+		bk.gv = make([]float64, 0, estG)
+		bk.cr = make([]int, 0, estC)
+		bk.cc = make([]int, 0, estC)
+		bk.cv = make([]float64, 0, estC)
 		for k := lo; k < hi; k++ {
 			e := ex.RCElements[k]
 			var isG bool
@@ -228,20 +275,17 @@ func Extract(deck *netlist.Deck, extraPorts ...string) (*Extraction, error) {
 			if isG {
 				r, c, v = bk.gr, bk.gc, bk.gv
 			}
-			ns := e.Nodes()
-			i, iOK := index[ns[0]]
-			j, jOK := index[ns[1]]
-			isGndI := ns[0] == netlist.Ground
-			isGndJ := ns[1] == netlist.Ground
+			a, b := rcEnds[2*k], rcEnds[2*k+1]
+			i, j := int(index[a]), int(index[b])
 			switch {
-			case isGndI && isGndJ:
+			case a == 0 && b == 0:
 				continue // both terminals grounded: no effect
-			case isGndI:
+			case a == 0:
 				r, c, v = append(r, j), append(c, j), append(v, val)
-			case isGndJ:
+			case b == 0:
 				r, c, v = append(r, i), append(c, i), append(v, val)
 			default:
-				if !iOK || !jOK {
+				if i < 0 || j < 0 {
 					bk.err = fmt.Errorf("stamp: internal error, unindexed node on %s", e.Name())
 					return
 				}

@@ -118,6 +118,39 @@ c1 c 0 1p
 	}
 }
 
+// TestExtractNormalizesExtraPorts checks that forced port names go
+// through the parser's node normalizer: a card's "R2 N1 N2 100" reads as
+// nodes n1 and n2, so "N2", " n2" and "gnd" must name n2 and ground.
+func TestExtractNormalizesExtraPorts(t *testing.T) {
+	deck := mustParse(t, `mixed case
+V1 N0 0 DC 1
+R1 N0 N1 100
+R2 N1 N2 100
+C1 N2 GND 1P
+.END
+`)
+	for _, ports := range [][]string{{"N2"}, {"n1", " n2"}, {" N2 ", "n2"}} {
+		ex, err := Extract(deck, ports...)
+		if err != nil {
+			t.Fatalf("ports %q: %v", ports, err)
+		}
+		found := false
+		for _, p := range ex.PortNames {
+			found = found || p == "n2"
+		}
+		if !found {
+			t.Fatalf("ports %q: port names %q lack n2", ports, ex.PortNames)
+		}
+	}
+	ports := []string{" N2"}
+	if _, err := Extract(deck, ports...); err != nil || ports[0] != " N2" {
+		t.Fatalf("caller's port list changed to %q (err %v)", ports, err)
+	}
+	if _, err := Extract(deck, "GND"); err == nil || !strings.Contains(err.Error(), `"0"`) {
+		t.Fatalf("ground as a forced port: err %v, want it refused as node \"0\"", err)
+	}
+}
+
 func TestExtractDropsDanglingComponent(t *testing.T) {
 	deck := mustParse(t, `dangling island
 v1 a 0 dc 1

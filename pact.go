@@ -120,7 +120,9 @@ type Options struct {
 	// "pact").
 	Prefix string
 	// ExtraPorts forces the given nodes to be treated as ports in
-	// addition to the automatically detected ones.
+	// addition to the automatically detected ones. Names are matched the
+	// way the parser reads node fields: trimmed, case-insensitive, "gnd"
+	// meaning ground.
 	ExtraPorts []string
 	// Seed seeds the Lanczos starting vector (default 1); reductions are
 	// deterministic for a fixed seed.
@@ -162,9 +164,17 @@ type Reduction struct {
 	// Sys is the extracted (unreduced) partitioned system, kept so
 	// callers can evaluate the exact admittance for verification.
 	Sys *System
-	// Original and reduced element counts (nodes exclude ground).
+	// OriginalNodes, OriginalR and OriginalC count the input deck:
+	// distinct non-ground node names over all its elements, and the
+	// elements whose names start with 'r' and 'c' (the lengths of
+	// Deck.NodeNames and Deck.ElementsOfType). They come from the
+	// extraction's interning pass, not a second walk of the deck.
 	OriginalNodes, OriginalR, OriginalC int
-	ReducedNodes, ReducedR, ReducedC    int
+	// ReducedNodes, ReducedR and ReducedC count the output deck the same
+	// way, in one pass over it. With AsSubckt the R and C counts include
+	// the subcircuit body, and ReducedNodes adds the model's internal
+	// nodes, which live inside the subcircuit.
+	ReducedNodes, ReducedR, ReducedC int
 	// Elapsed is the wall-clock reduction time.
 	Elapsed time.Duration
 }
@@ -227,28 +237,44 @@ func ReduceDeckContext(ctx context.Context, deck *Deck, opts Options) (*Reductio
 		Sys:       ex.Sys,
 		Elapsed:   time.Since(start),
 	}
-	red.OriginalNodes = len(deck.NodeNames())
-	red.OriginalR = len(deck.ElementsOfType('r'))
-	red.OriginalC = len(deck.ElementsOfType('c'))
-	red.ReducedNodes = len(out.NodeNames())
-	red.ReducedR = len(out.ElementsOfType('r'))
-	red.ReducedC = len(out.ElementsOfType('c'))
+	red.OriginalNodes, red.OriginalR, red.OriginalC = ex.DeckNodes, ex.DeckR, ex.DeckC
+	red.ReducedNodes, red.ReducedR, red.ReducedC = countDeck(out)
 	if opts.AsSubckt {
-		// Count the subcircuit body; the flat deck view sees only the
-		// instance card.
-		for _, sub := range out.Subckts {
-			for _, e := range sub.Elements {
-				switch e.Name()[0] {
-				case 'r':
-					red.ReducedR++
-				case 'c':
-					red.ReducedC++
-				}
-			}
-		}
 		red.ReducedNodes += model.K() // internal nodes live inside the subckt
 	}
 	return red, nil
+}
+
+// countDeck counts a reduced deck in one pass: distinct non-ground
+// nodes of its flat elements (Deck.NodeNames), and the elements whose
+// names start with 'r' and 'c' (Deck.ElementsOfType), subcircuit bodies
+// included — the flat view of a wrapped reduction sees only its
+// instance card.
+func countDeck(d *Deck) (nodes, r, c int) {
+	seen := map[string]struct{}{}
+	count := func(e netlist.Element) {
+		if name := e.Name(); name != "" {
+			switch name[0] {
+			case 'r':
+				r++
+			case 'c':
+				c++
+			}
+		}
+	}
+	for _, e := range d.Elements {
+		count(e)
+		for _, n := range e.Nodes() {
+			seen[n] = struct{}{}
+		}
+	}
+	for _, sub := range d.Subckts {
+		for _, e := range sub.Elements {
+			count(e)
+		}
+	}
+	delete(seen, netlist.Ground)
+	return len(seen), r, c
 }
 
 // ReduceString is ReduceDeck on SPICE text, returning the reduced deck as

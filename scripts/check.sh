@@ -72,8 +72,10 @@ leg "kernel-oracle leg (micro-kernels vs naive references, run twice)"
 # The dense micro-kernels and the supernodal paths built on them are
 # pinned by property-based oracle tests over randomized shapes; -count=2
 # defeats the test cache and catches any run-order or leftover-state
-# dependence in the kernels' scratch reuse.
-go test ./internal/dense/... ./internal/chol/... -run Oracle -count=2
+# dependence in the kernels' scratch reuse. internal/stamp rides along
+# for the interned Extract against its string-map oracle (node order,
+# element partition, Float64bits-equal blocks).
+go test ./internal/dense/... ./internal/chol/... ./internal/stamp/ -run Oracle -count=2
 
 leg "invariant-checked tests (-tags pactcheck)"
 go test -tags pactcheck ./internal/check/ ./internal/core/ ./internal/prima/ \
