@@ -110,9 +110,10 @@ func TestSetSym(t *testing.T) {
 	}
 }
 
-// BenchmarkMul512 is the ≥512×512 dense product benchmark of the ISSUE
-// acceptance criteria; compare -cpu 1 and -cpu 4 legs (or the
-// committed BENCH.json from pactbench -json).
+// BenchmarkMul512 times the 512×512 blocked dense product; its
+// parallel speedup is the ratio of the -cpu legs:
+//
+//	go test ./internal/dense -run '^$' -bench Mul -cpu 1,2,4
 func BenchmarkMul512(b *testing.B) {
 	x, y := New(512, 512), New(512, 512)
 	lcgFill(x, 7)
@@ -121,5 +122,21 @@ func BenchmarkMul512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Mul(x, y)
+	}
+}
+
+// BenchmarkMulVec1024 times the row-panel parallel matrix-vector
+// product at 1024×1024.
+func BenchmarkMulVec1024(b *testing.B) {
+	m := New(1024, 1024)
+	lcgFill(m, 3)
+	x := make([]float64, 1024)
+	for i := range x {
+		x[i] = float64(i%13) * 0.5
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MulVec(x)
 	}
 }

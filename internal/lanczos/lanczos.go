@@ -82,10 +82,6 @@ type Options struct {
 	// ConvTol is the relative Ritz residual bound for convergence
 	// (default 1e-8).
 	ConvTol float64
-	// ExtraIters continues this many steps after the stopping criterion is
-	// met, so late copies of multiple eigenvalues can emerge through
-	// deflation (default 12).
-	ExtraIters int
 	// Seed seeds the deterministic starting vector (default 1).
 	Seed int64
 }
@@ -110,6 +106,11 @@ type Result struct {
 
 const machEps = 2.220446049250313e-16
 
+// tailIters is how many steps both variants continue after the stopping
+// criterion is met, so late copies of multiple eigenvalues can emerge
+// through deflation.
+const tailIters = 12
+
 // FindAbove runs the Lanczos iteration on op until every eigenvalue above
 // opts.Cutoff has converged (or MaxIter is reached, which returns an
 // error wrapping ErrNoConvergence).
@@ -133,10 +134,6 @@ func FindAboveCtx(ctx context.Context, op Operator, opts Options) (*Result, erro
 	convTol := opts.ConvTol
 	if convTol <= 0 {
 		convTol = 1e-8
-	}
-	extra := opts.ExtraIters
-	if extra <= 0 {
-		extra = 12
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -322,7 +319,7 @@ func FindAboveCtx(ctx context.Context, op Operator, opts Options) (*Result, erro
 		}
 		if allAboveConverged && !anyUnconvergedCouldPass {
 			stableFor += checkEvery
-			if stableFor >= extra {
+			if stableFor >= tailIters {
 				return finish(op, w, alpha, beta[:len(beta)-1], opts.Cutoff, convTol, res)
 			}
 		} else {

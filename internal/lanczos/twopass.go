@@ -44,10 +44,6 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 	if convTol <= 0 {
 		convTol = 1e-8
 	}
-	extra := opts.ExtraIters
-	if extra <= 0 {
-		extra = 12
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
@@ -148,7 +144,7 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 		clustered := clusterDescending(conv, clusterTol)
 		if !blocked && sameValues(clustered, keptVals, clusterTol) {
 			stableFor += checkEvery
-			if stableFor >= extra {
+			if stableFor >= tailIters {
 				keptVals = clustered
 				break
 			}

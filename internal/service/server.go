@@ -430,8 +430,8 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
-// Snapshot assembles the /statz view; exported so cmd/rcfitd and
-// pactbench read the same numbers the endpoint serves.
+// Snapshot assembles the /statz view; exported so in-process readers
+// such as perfbench read the same numbers the endpoint serves.
 func (s *Server) Snapshot() Stats {
 	s.stageMu.Lock()
 	stages := s.stageTotals

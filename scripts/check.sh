@@ -89,13 +89,12 @@ leg "perfbench module (vet + test)"
 go -C perfbench vet ./...
 go -C perfbench test ./...
 
-leg "pactbench -json smoke"
-go run ./cmd/pactbench -json /tmp/pactbench-smoke.json -benchset kernels -benchtime 10ms
-rm -f /tmp/pactbench-smoke.json
-
-leg "pactbench service benchset smoke"
-go run ./cmd/pactbench -json /tmp/pactbench-service-smoke.json -benchset service -benchtime 30ms
-rm -f /tmp/pactbench-service-smoke.json
+leg "kernel benchmarks (one iteration each)"
+# The dense panel kernels, chol factor/solve, AMD fill and pool
+# overhead benchmarks run once each, so a broken benchmark fails here
+# rather than in a measurement session. End-to-end performance is
+# perfbench's (see perfbench/README.md).
+go test -run '^$' -bench . -benchtime 1x ./internal/chol/ ./internal/dense/ ./internal/order/ ./internal/par/
 
 leg "fuzz smoke (10s per target)"
 # go test rejects a -fuzz pattern matching several targets, so run them
