@@ -1,14 +1,15 @@
 // Supernodal blocked Cholesky: the BLAS-3 variant of the factorization
 // kernels. The columns of L are partitioned into supernodes (contiguous
-// panels whose structures nest, found by order.FindSupernodes with
-// relaxed amalgamation); each panel is stored as one dense column-major
-// trapezoid and factored by a dense right-looking kernel, and the
-// sparse update of a panel by its descendants becomes a dense rank-k
-// product routed through precomputed relative row maps. The dense inner
-// loops — the rank-k trapezoid update, the below-block triangular
-// solve, and the panel halves of the forward/backward substitutions —
-// live in internal/dense as explicit unrolled micro-kernels; this file
-// owns the sparse bookkeeping around them.
+// panels whose structures nest, found by order.FindSupernodes; Analyze
+// builds the fundamental partition, without relaxed amalgamation); each
+// panel is stored as one dense column-major trapezoid and factored by a
+// dense right-looking kernel, and the sparse update of a panel by its
+// descendants becomes a dense rank-k product routed through precomputed
+// relative row maps. The dense inner loops — the rank-k trapezoid
+// update, the below-block triangular solve, and the panel halves of the
+// forward/backward substitutions — live in internal/dense as explicit
+// unrolled micro-kernels; this file owns the sparse bookkeeping around
+// them.
 //
 // Everything that depends only on the pattern is computed once in
 // analyzeSuper and shared by every numeric factorization: the row
@@ -106,8 +107,9 @@ type superSymbolic struct {
 
 // analyzeSuper builds the supernodal symbolic structure for the given
 // full symmetric pattern and its symbolic analysis. Analyze passes a
-// zero SupernodeOptions (the default panel width and
-// relaxed-amalgamation budget); tests force other widths. Numeric
+// zero SupernodeOptions: the default panel width and a zero fill
+// budget, so production factors use the fundamental partition and store
+// no amalgamation zeros; tests force other widths and budgets. Numeric
 // factorizations against the returned structure must present a matrix
 // with exactly this pattern (the scatter routes are resolved here,
 // once, not per factorization).

@@ -23,7 +23,12 @@ import (
 func Parse(r io.Reader) (*Deck, error) {
 	t0 := time.Now()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// Cards are short, so the scanner starts from its own 4 KiB buffer
+	// and grows it only for a longer line, up to 16 MiB. A large starting
+	// buffer would be a fresh allocation, page-faulted in, on every parse
+	// of a small deck — and rcfitd parses every request its cache cannot
+	// answer from the raw bytes.
+	sc.Buffer(nil, 1<<24)
 	deck := &Deck{Models: map[string]*Model{}, Subckts: map[string]*Subckt{}}
 	st := &parseState{deck: deck}
 	lineNo := 0

@@ -27,6 +27,19 @@ func (f *failAfter) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// TestParseLongLines pins that the scanner's buffer grows past its
+// small starting size: a title and a comment line of 2 MiB each parse.
+func TestParseLongLines(t *testing.T) {
+	long := strings.Repeat("x", 2<<20)
+	deck, err := ParseString("t" + long + "\n*" + long + "\nr1 a b 1k\n.end\n")
+	if err != nil {
+		t.Fatalf("long lines: %v", err)
+	}
+	if len(deck.Title) != 1+len(long) || len(deck.Elements) != 1 {
+		t.Fatalf("title of %d bytes and %d elements, want %d and 1", len(deck.Title), len(deck.Elements), 1+len(long))
+	}
+}
+
 // TestParseStopsReadingAtEnd pins the streaming contract: once the .end
 // card is seen, Parse asks the reader for nothing more. A source that
 // fails right after .end must not turn into a parse error.

@@ -12,9 +12,10 @@ type SupernodeOptions struct {
 	// RelaxFill is the relaxed-amalgamation budget: a column whose
 	// structure is *almost* nested in the running panel may still be
 	// merged as long as the explicitly stored zeros stay at or below
-	// RelaxFill times the panel's entry count. Zero fill budget yields
-	// exactly the fundamental partition. Negative disables amalgamation
-	// (same result as zero; kept for clarity in tests).
+	// RelaxFill times the panel's entry count. Zero fill budget (the
+	// default, and what chol.Analyze uses) yields exactly the fundamental
+	// partition. Negative disables amalgamation (same result as zero;
+	// kept for clarity in tests).
 	RelaxFill float64
 }
 
@@ -23,12 +24,6 @@ type SupernodeOptions struct {
 // run at dense-kernel speed, small enough that a panel's diagonal block
 // (MaxWidth² floats) stays cache resident.
 const DefaultMaxWidth = 48
-
-// DefaultRelaxFill is the relaxed-amalgamation budget used by the
-// factorization packages: up to 12.5% of a panel's entries may be
-// explicit zeros if that lets neighbouring fundamental supernodes fuse
-// into one dense panel.
-const DefaultRelaxFill = 0.125
 
 func (o SupernodeOptions) withDefaults() SupernodeOptions {
 	if o.MaxWidth <= 0 {

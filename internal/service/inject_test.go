@@ -79,7 +79,10 @@ func TestInjectedCacheStoreDropStaysConsistent(t *testing.T) {
 	inject.Install(sched)
 	defer inject.Reset()
 
-	want := []string{"miss", "miss", "hit"} // store 0 dropped, store 1 lands
+	// Store 0 is dropped and must leave no raw-key alias behind; store 1
+	// lands with the alias that answers request 2 without parsing.
+	want := []string{"miss", "miss", "hit"}
+	wantAliases := []int{0, 1, 1}
 	for i, w := range want {
 		code, _, resp, eresp := post(t, s, tinyDeck("d0"), "fmax=1e9")
 		if code != http.StatusOK {
@@ -88,13 +91,16 @@ func TestInjectedCacheStoreDropStaysConsistent(t *testing.T) {
 		if resp.Cache != w {
 			t.Fatalf("request %d cache = %q, want %q", i, resp.Cache, w)
 		}
+		if n := aliasCount(s); n != wantAliases[i] {
+			t.Fatalf("after request %d: %d raw-key aliases, want %d", i, n, wantAliases[i])
+		}
 	}
 	if sched.Fired(inject.SvcCacheStore) != 1 {
 		t.Fatal("svc.cache.store did not fire")
 	}
 	st := s.Snapshot()
-	if st.Cache.StoreDrops != 1 || st.Cache.Stores != 1 || st.Cache.Hits != 1 {
-		t.Fatalf("cache stats %+v, want 1 drop, 1 store, 1 hit", st.Cache)
+	if st.Cache.StoreDrops != 1 || st.Cache.Stores != 1 || st.Cache.Hits != 1 || st.Cache.RawHits != 1 {
+		t.Fatalf("cache stats %+v, want 1 drop, 1 store, 1 hit (raw)", st.Cache)
 	}
 	checkNoGoroutineLeak(t, base)
 }

@@ -1,6 +1,9 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"repro/internal/netlist"
@@ -76,6 +79,50 @@ func TestKeysSeparateParams(t *testing.T) {
 		}
 		if RawKey([]byte(deckA), base) == RawKey([]byte(deckA), p) {
 			t.Fatalf("params %+v and %+v share a raw key", base, p)
+		}
+	}
+}
+
+// TestCanonicalKeyStreamsCanonicalForm pins that streaming the deck
+// into the hasher addresses exactly what hashing the rendered canonical
+// text would: sha256(Canonicalize(deck) ‖ 0 ‖ id()).
+func TestCanonicalKeyStreamsCanonicalForm(t *testing.T) {
+	for _, src := range []string{deckA, deckB} {
+		d := mustParse(t, src)
+		for _, p := range []Params{
+			{FMax: 1e9, Tol: 0.05},
+			{FMax: 1e9, Tol: 0.05, Shifts: []float64{0, 1e9}, PortClusters: 2},
+		} {
+			sum := sha256.Sum256([]byte(Canonicalize(d) + "\x00" + p.id()))
+			if got, want := CanonicalKey(d, p), hex.EncodeToString(sum[:]); got != want {
+				t.Fatalf("streamed key %s, want %s for params %+v", got, want, p)
+			}
+		}
+	}
+}
+
+// TestParamsIDCoversEveryField sets each Params field in turn to a
+// non-zero value and requires id() to change. Both keys fold in id(),
+// and a raw-key hit serves a cached model without parsing, so a field
+// missing from id() would serve a model built with other settings.
+func TestParamsIDCoversEveryField(t *testing.T) {
+	base := Params{}.id()
+	typ := reflect.TypeOf(Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		var p Params
+		f := reflect.ValueOf(&p).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(1.5)
+		case reflect.Int:
+			f.SetInt(3)
+		case reflect.Slice:
+			f.Set(reflect.Append(reflect.MakeSlice(f.Type(), 0, 1), reflect.ValueOf(1.5).Convert(f.Type().Elem())))
+		default:
+			t.Fatalf("Params.%s has kind %s: extend this test to set it", typ.Field(i).Name, f.Kind())
+		}
+		if p.id() == base {
+			t.Errorf("Params.%s = %v does not change id() %q", typ.Field(i).Name, f.Interface(), base)
 		}
 	}
 }
