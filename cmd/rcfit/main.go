@@ -9,7 +9,8 @@
 //	rcfit -fmax 1e9 [-tol 0.05] [-ports n1,n2] [-verify] [-o out.sp] [in.sp]
 //	rcfit -fmax 1e9 -shifts 0,1e8,1e9 -portcluster 16 wideband.sp   # multi-point
 //
-// With no input file the deck is read from standard input.
+// The request flags are pact.Options' request option table, shared with
+// rcfitd's /reduce query. With no input file the deck is read from stdin.
 //
 // Exit codes: 0 on success, 2 when the reduction was canceled (SIGINT,
 // SIGTERM, or the -timeout deadline) — cooperative cancellation is not
@@ -23,8 +24,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	pact "repro"
@@ -45,27 +44,20 @@ func main() {
 func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("rcfit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fmax := fs.Float64("fmax", 0, "maximum frequency of interest in Hz (required)")
-	tol := fs.Float64("tol", 0.05, "relative error tolerance at fmax")
-	sparsify := fs.Float64("sparsify", 1e-8, "sparsity-enhancement threshold (0 disables)")
-	portsFlag := fs.String("ports", "", "comma-separated extra port nodes")
+	var opts pact.Options
+	opts.RegisterFlags(fs)
 	out := fs.String("o", "", "output file (default stdout)")
-	prefix := fs.String("prefix", "pact", "name prefix for generated elements")
-	maxPoles := fs.Int("maxpoles", 0, "cap on retained poles (0 = no cap)")
-	shiftsFlag := fs.String("shifts", "", "comma-separated expansion-point frequencies in Hz for multi-point reduction (empty = classic single-point)")
-	portCluster := fs.Int("portcluster", 0, "cluster ports into this many groups for cluster-wise basis thinning (multi-point only, 0 disables)")
-	twoPass := fs.Bool("twopass", false, "use the memory-minimal two-pass Lanczos")
 	verify := fs.Bool("verify", false, "sample exact vs reduced admittance and report errors on stderr")
-	asSubckt := fs.Bool("subckt", false, "emit the reduced network as a .subckt + instance")
 	quiet := fs.Bool("q", false, "suppress the statistics report on stderr")
 	verbose := fs.Bool("v", false, "add a factorization-kernel statistics line to the stderr report")
 	timeout := fs.Duration("timeout", 0, "abort the reduction after this long (0 = no limit)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *fmax <= 0 {
+	opts, err := opts.Canonical()
+	if err != nil {
 		fs.Usage()
-		return fmt.Errorf("-fmax is required and must be positive")
+		return err
 	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -85,39 +77,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if err != nil {
 		return err
 	}
-	var extra []string
-	if *portsFlag != "" {
-		extra = strings.Split(*portsFlag, ",")
-	}
-	var shifts []float64
-	if *shiftsFlag != "" {
-		for _, tok := range strings.Split(*shiftsFlag, ",") {
-			f, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-			if err != nil {
-				return fmt.Errorf("-shifts entry %q: %w", tok, err)
-			}
-			shifts = append(shifts, f)
-		}
-	}
-	if *portCluster < 0 {
-		return fmt.Errorf("-portcluster must be non-negative, got %d", *portCluster)
-	}
-	if *portCluster > 0 && len(shifts) == 0 {
-		return fmt.Errorf("-portcluster requires -shifts (port clustering thins the multi-point basis)")
-	}
-	red, err := pact.ReduceDeckContext(ctx, deck, pact.Options{
-		FMax:        *fmax,
-		Tol:         *tol,
-		SparsifyTol: *sparsify,
-		Prefix:      *prefix,
-		ExtraPorts:  extra,
-		MaxPoles:    *maxPoles,
-		TwoPass:     *twoPass,
-		AsSubckt:    *asSubckt,
-
-		Shifts:       shifts,
-		PortClusters: *portCluster,
-	})
+	red, err := pact.ReduceDeckContext(ctx, deck, opts)
 	if err != nil {
 		if pact.IsCancellation(err) && *timeout > 0 {
 			return fmt.Errorf("reduction did not finish within -timeout %v: %w", *timeout, err)
@@ -170,7 +130,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		}
 	}
 	if *verify {
-		return runVerify(red, *fmax, stderr)
+		return runVerify(red, opts.FMax, stderr)
 	}
 	return nil
 }

@@ -3,6 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"flag"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,6 +15,7 @@ import (
 
 	pact "repro"
 	"repro/internal/netgen"
+	"repro/internal/service"
 )
 
 func TestRunLadder(t *testing.T) {
@@ -169,4 +175,56 @@ func TestRunTimeoutInterruptsLargeReduction(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestRcfitMatchesRcfitd reduces decks through rcfit and through an
+// in-process rcfitd server, giving the same options once as flags and once
+// as /reduce query parameters, and requires byte-identical decks. Between
+// them the vectors set every request option; the wide-band vector is the
+// multi-point many-port request where a front-end default once differed.
+func TestRcfitMatchesRcfitd(t *testing.T) {
+	wide, _, err := netgen.WideBand(netgen.WideBandPreset(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder := netgen.Ladder(60, 250, 1.35e-12).String()
+	srv := service.New(service.Config{Workers: 1})
+	defer srv.Close()
+	covered := map[string]bool{}
+	for _, tc := range []struct {
+		deck string
+		args []string
+	}{
+		{wide.String(), []string{"-fmax=2e10", "-shifts=0,2e10", "-maxpoles=48"}},
+		{ladder, []string{"-fmax=5e9", "-tol=0.02", "-sparsify=1e-8", "-prefix=red", "-twopass=true", "-subckt=true"}},
+		{ladder, []string{"-fmax=5e9", "-shifts=5e9,0", "-portcluster=2", "-ports=N30,n10"}},
+	} {
+		var out, errw bytes.Buffer
+		if err := run(context.Background(), append(tc.args, "-q"), strings.NewReader(tc.deck), &out, &errw); err != nil {
+			t.Fatalf("rcfit %v: %v\nstderr:\n%s", tc.args, err, errw.String())
+		}
+		q := url.Values{}
+		for _, arg := range tc.args {
+			name, value, _ := strings.Cut(strings.TrimPrefix(arg, "-"), "=")
+			q.Set(name, value)
+			covered[name] = true
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reduce?"+q.Encode(), strings.NewReader(tc.deck)))
+		var resp service.ReduceResponse
+		if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("rcfitd %s: status %d, decode error %v", q.Encode(), rec.Code, err)
+		}
+		if resp.Deck != out.String() {
+			t.Errorf("%v: rcfit wrote %d bytes, rcfitd returned %d different ones",
+				tc.args, out.Len(), len(resp.Deck))
+		}
+	}
+	fs := flag.NewFlagSet("options", flag.ContinueOnError)
+	new(pact.Options).RegisterFlags(fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		if !covered[f.Name] {
+			t.Errorf("request option %s is not exercised", f.Name)
+		}
+	})
 }

@@ -12,14 +12,16 @@
 //
 // Endpoints:
 //
-//	POST /reduce?fmax=5e9[&tol=0.05][&maxpoles=n]  body: SPICE deck
+//	POST /reduce?fmax=5e9[&tol=0.05][&sparsify=x][&ports=n1,n2]  body: SPICE deck
+//	     [&prefix=p][&maxpoles=n][&twopass=true][&subckt=true]
 //	     [&shifts=0,1e9,5e9][&portcluster=16]      multi-expansion-point mode
 //	GET  /healthz                                  "ok" or 503 "draining"
 //	GET  /statz                                    JSON counters
 //
-// The shifts parameter selects multi-expansion-point reduction; the set
-// is canonicalized (sorted, deduplicated) before keying the model
-// cache, so every listing order of one expansion-point set shares one
+// The query parameters are rcfit's request flags (one table in
+// pact.Options), so both return the same bytes; a bad, unknown or
+// repeated one is a 400 naming it. Options are canonicalized before
+// keying the model cache, so every spelling of one request shares one
 // cache entry and one singleflight.
 //
 // On SIGTERM or SIGINT the daemon drains: new work is refused with 503,

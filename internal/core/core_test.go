@@ -493,8 +493,19 @@ func TestReduceRejectsBadOptions(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(65))
 	sys := randomSystem(rng, 2, 5)
-	if _, _, err := Reduce(sys, Options{}); err == nil {
-		t.Error("FMax = 0 accepted")
+	for _, o := range []Options{
+		{},
+		{FMax: math.NaN()},
+		{FMax: math.Inf(1)},
+		{FMax: 1, Tol: math.NaN()},
+		{FMax: 1, PortClusters: 2},
+	} {
+		if _, _, err := Reduce(sys, o); err == nil {
+			t.Errorf("%+v accepted", o)
+		}
+		if _, _, err := Transform1(sys, o); err == nil {
+			t.Errorf("Transform1 accepted %+v", o)
+		}
 	}
 }
 

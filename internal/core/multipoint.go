@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -47,26 +48,22 @@ import (
 
 // CanonicalShifts returns the canonical form of a multi-point shift set:
 // sorted ascending with exact duplicates dropped. Every consumer of
-// Options.Shifts (the reduction itself, the service cache key) uses this
+// Options.Shifts (the reduction itself, pact.Options.Canonical) uses this
 // form, so listing order never changes the model or splits cache
-// entries. Returns an error for negative or non-finite entries.
+// entries. An empty set canonicalizes to nil. Returns an error for
+// negative or non-finite entries.
 func CanonicalShifts(shifts []float64) ([]float64, error) {
-	out := make([]float64, 0, len(shifts))
+	var out []float64
 	for _, f := range shifts {
-		if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+		if !(f >= 0) || math.IsInf(f, 1) {
 			return nil, fmt.Errorf("core: expansion-point frequency %g outside [0, ∞)", f)
 		}
 		out = append(out, f)
 	}
 	sort.Float64s(out)
-	dedup := out[:0]
-	for i, f := range out {
-		//lint:ignore floatcmp exact equality is the dedup contract: only bit-identical listing duplicates collapse, near-equal shifts are distinct expansion points
-		if i == 0 || f != out[i-1] {
-			dedup = append(dedup, f)
-		}
-	}
-	return dedup, nil
+	// Only bit-identical listing duplicates collapse; near-equal shifts
+	// are distinct expansion points.
+	return slices.Compact(out), nil
 }
 
 // connectionBlock assembles the m columns of P = R − EX in the permuted
@@ -360,27 +357,15 @@ func (t *Transformed) clusterPorts(k int) [][]int {
 // (D, E) pencil onto it. A shift whose factorization fails is dropped
 // with a recorded Recovery (the surviving shifts still span a valid
 // congruence basis); only when every shift fails does the stage return a
-// typed StageError. Cancellation is terminal immediately.
+// typed StageError. Cancellation is terminal immediately. opts arrive
+// resolved (ReduceContext), so the shift set is already canonical.
 func (t *Transformed) transform2MultiPoint(ctx context.Context, opts Options) (*ReducedModel, error) {
-	opts = opts.withDefaults()
-	if opts.FMax <= 0 {
-		return nil, fmt.Errorf("core: Options.FMax must be positive, got %g", opts.FMax)
-	}
-	if opts.Tol <= 0 || opts.Tol >= 1 {
-		return nil, fmt.Errorf("core: Options.Tol must be in (0,1), got %g", opts.Tol)
-	}
 	m, n := t.M, t.N
 	stats := t.stats
 	if n == 0 {
 		return &ReducedModel{M: m, A: t.APrime, B: t.BPrime, R: dense.New(0, m)}, nil
 	}
-	shifts, err := CanonicalShifts(opts.Shifts)
-	if err != nil {
-		return nil, err
-	}
-	if len(shifts) == 0 {
-		return nil, fmt.Errorf("core: multi-point mode needs at least one expansion point")
-	}
+	shifts := opts.Shifts
 	stats.Shifts = len(shifts)
 
 	pcols, err := t.connectionBlock(ctx)

@@ -104,30 +104,52 @@ type Options struct {
 	ResiduePruneTol float64
 }
 
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.Tol == 0 {
-		out.Tol = 0.05
+// Resolve returns o with every zero-value default filled in and the
+// shift set in canonical form (CanonicalShifts), or the first option
+// outside its domain. It is the one validation site of the reduction
+// options: every entry point resolves its options before any work, and
+// pact.Options.Canonical resolves them before a request is keyed.
+func (o Options) Resolve() (Options, error) {
+	if o.Tol == 0 {
+		o.Tol = 0.05
 	}
-	if out.DenseThreshold == 0 {
-		out.DenseThreshold = 96
+	if o.DenseThreshold == 0 {
+		o.DenseThreshold = 96
 	}
-	if out.XCacheBudget == 0 {
-		out.XCacheBudget = 512 << 20
+	if o.XCacheBudget == 0 {
+		o.XCacheBudget = 512 << 20
 	}
-	if out.LanczosConvTol == 0 {
-		out.LanczosConvTol = 1e-8
+	if o.LanczosConvTol == 0 {
+		o.LanczosConvTol = 1e-8
 	}
-	if out.Seed == 0 {
-		out.Seed = 1
+	if o.Seed == 0 {
+		o.Seed = 1
 	}
-	if out.ShiftMoments == 0 {
-		out.ShiftMoments = 1
+	if o.ShiftMoments == 0 {
+		o.ShiftMoments = 1
 	}
-	if out.BasisDropTol == 0 {
-		out.BasisDropTol = 1e-8
+	if o.BasisDropTol == 0 {
+		o.BasisDropTol = 1e-8
 	}
-	return out
+	switch {
+	case !(o.FMax > 0) || math.IsInf(o.FMax, 1):
+		return o, fmt.Errorf("core: Options.FMax must be positive and finite, got %g", o.FMax)
+	case !(o.Tol > 0 && o.Tol < 1):
+		return o, fmt.Errorf("core: Options.Tol must be in (0,1), got %g", o.Tol)
+	case o.MaxPoles < 0:
+		return o, fmt.Errorf("core: Options.MaxPoles must be non-negative, got %d", o.MaxPoles)
+	case o.ShiftMoments < 1:
+		return o, fmt.Errorf("core: Options.ShiftMoments must be positive, got %d", o.ShiftMoments)
+	case o.PortClusters < 0:
+		return o, fmt.Errorf("core: Options.PortClusters must be non-negative, got %d", o.PortClusters)
+	case o.PortClusters > 0 && len(o.Shifts) == 0:
+		return o, errors.New("core: Options.PortClusters requires Shifts (port clustering thins the multi-point basis)")
+	case !(o.ResiduePruneTol >= 0) || math.IsInf(o.ResiduePruneTol, 1):
+		return o, fmt.Errorf("core: Options.ResiduePruneTol must be non-negative and finite, got %g", o.ResiduePruneTol)
+	}
+	var err error
+	o.Shifts, err = CanonicalShifts(o.Shifts)
+	return o, err
 }
 
 // Stats reports the work done by a reduction, the quantities Section 4 of
@@ -285,9 +307,9 @@ func Reduce(sys *System, opts Options) (*ReducedModel, *Stats, error) {
 // deadline or an interrupt stops the reduction at the next checkpoint
 // with a resilience.StageError identifying where it stopped.
 func ReduceContext(ctx context.Context, sys *System, opts Options) (*ReducedModel, *Stats, error) {
-	opts = opts.withDefaults()
-	if opts.FMax <= 0 {
-		return nil, nil, fmt.Errorf("core: Options.FMax must be positive, got %g", opts.FMax)
+	opts, err := opts.Resolve()
+	if err != nil {
+		return nil, nil, err
 	}
 	t, stats, err := Transform1Context(ctx, sys, opts)
 	if err != nil {
@@ -339,16 +361,14 @@ func Transform1(sys *System, opts Options) (*Transformed, *Stats, error) {
 // admittance perturbation ‖ΔY(0)‖_F ≤ γ·‖X‖²_F (X = D_γ⁻¹Q); an
 // exhausted ladder returns a resilience.StageError listing every attempt.
 func Transform1Context(ctx context.Context, sys *System, opts Options) (*Transformed, *Stats, error) {
-	opts = opts.withDefaults()
-	if opts.Tol <= 0 || opts.Tol >= 1 {
-		return nil, nil, fmt.Errorf("core: Options.Tol must be in (0,1), got %g", opts.Tol)
+	opts, err := opts.Resolve()
+	if err != nil {
+		return nil, nil, err
 	}
 	m, n := sys.M, sys.N
 	stats := &Stats{Ports: m, Internal: n}
-	if opts.FMax > 0 {
-		stats.CutoffHz = CutoffFrequency(opts.FMax, opts.Tol)
-		stats.LambdaC = LambdaCutoff(stats.CutoffHz)
-	}
+	stats.CutoffHz = CutoffFrequency(opts.FMax, opts.Tol)
+	stats.LambdaC = LambdaCutoff(stats.CutoffHz)
 
 	if n == 0 {
 		return &Transformed{
@@ -702,12 +722,9 @@ func (t *Transformed) Transform2(opts Options) (*ReducedModel, error) {
 // Stats.Recoveries and Stats.DenseEig set. Cancellation and non-stagnation
 // failures are never retried.
 func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*ReducedModel, error) {
-	opts = opts.withDefaults()
-	if opts.FMax <= 0 {
-		return nil, fmt.Errorf("core: Options.FMax must be positive, got %g", opts.FMax)
-	}
-	if opts.Tol <= 0 || opts.Tol >= 1 {
-		return nil, fmt.Errorf("core: Options.Tol must be in (0,1), got %g", opts.Tol)
+	opts, err := opts.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	m, n := t.M, t.N
 	stats := t.stats
@@ -717,7 +734,6 @@ func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*Red
 	op := t.EOp()
 	var vals []float64
 	var uk *dense.Mat
-	var err error
 	if opts.DenseThreshold >= 0 && n <= opts.DenseThreshold {
 		stats.DenseEig = true
 		vals, uk, err = t.denseEigAbove(ctx, stats.LambdaC)

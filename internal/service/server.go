@@ -8,8 +8,8 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,7 +165,7 @@ type Server struct {
 
 	// reduceFn runs one reduction; tests substitute it to control timing
 	// and outcomes without multi-second decks.
-	reduceFn func(ctx context.Context, deck *netlist.Deck, p Params) (*Result, error)
+	reduceFn func(ctx context.Context, deck *netlist.Deck, opts pact.Options) (*Result, error)
 }
 
 // New builds a Server with the given configuration.
@@ -196,20 +196,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // It runs under the server's lifetime context (not the leader's request
 // context — followers inherit the result, so one impatient client must
 // not cancel everyone's reduction) plus the per-request deadline.
-func (s *Server) runReduction(ctx context.Context, deck *netlist.Deck, p Params) (*Result, error) {
+func (s *Server) runReduction(ctx context.Context, deck *netlist.Deck, opts pact.Options) (*Result, error) {
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
-	red, err := pact.ReduceDeckContext(ctx, deck, pact.Options{
-		FMax:     p.FMax,
-		Tol:      p.Tol,
-		MaxPoles: p.MaxPoles,
-
-		Shifts:       p.Shifts,
-		PortClusters: p.PortClusters,
-	})
+	red, err := pact.ReduceDeckContext(ctx, deck, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +294,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	p, err := paramsFromQuery(r)
+	opts, err := optionsFromQuery(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err, 0)
 		return
@@ -311,7 +304,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("service: read deck: %w", err), 0)
 		return
 	}
-	rawKey := RawKey(raw, p)
+	rawKey := RawKey(raw, opts)
 	res, key, ok := s.cache.getRaw(rawKey)
 	var deck *netlist.Deck
 	if !ok {
@@ -320,7 +313,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("service: parse deck: %w", err), 0)
 			return
 		}
-		key = CanonicalKey(deck, p)
+		key = CanonicalKey(deck, opts)
 		res, ok = s.cache.get(key)
 	}
 	if ok {
@@ -345,7 +338,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 			return nil, resilience.NewStageError(resilience.StageService,
 				fmt.Sprintf("flight %s leader", shortKey(key)), nil, errLeaderFault)
 		}
-		out, rerr := s.reduceFn(s.baseCtx, deck, p)
+		out, rerr := s.reduceFn(s.baseCtx, deck, opts)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -496,56 +489,29 @@ func (s *Server) Drain(ctx context.Context) error {
 // last-resort shutdown).
 func (s *Server) Close() { s.cancelAll() }
 
-// paramsFromQuery extracts and validates the reduction parameters.
-func paramsFromQuery(r *http.Request) (Params, error) {
+// optionsFromQuery sets each query parameter (pact.Options.Set, in sorted
+// order) and canonicalizes; an unknown or repeated one is an error.
+func optionsFromQuery(r *http.Request) (pact.Options, error) {
 	q := r.URL.Query()
-	var p Params
-	fmax := q.Get("fmax")
-	if fmax == "" {
-		return p, errors.New("service: query parameter fmax is required")
+	names := make([]string, 0, len(q))
+	for name := range q {
+		names = append(names, name)
 	}
-	v, err := strconv.ParseFloat(fmax, 64)
+	sort.Strings(names)
+	var opts pact.Options
+	for _, name := range names {
+		if len(q[name]) > 1 {
+			return opts, fmt.Errorf("service: query parameter %q repeated", name)
+		}
+		if err := opts.Set(name, q[name][0]); err != nil {
+			return opts, fmt.Errorf("service: %w", err)
+		}
+	}
+	opts, err := opts.Canonical()
 	if err != nil {
-		return p, fmt.Errorf("service: bad fmax %q: %w", fmax, err)
+		return opts, fmt.Errorf("service: %w", err)
 	}
-	p.FMax = v
-	if tol := q.Get("tol"); tol != "" {
-		v, err := strconv.ParseFloat(tol, 64)
-		if err != nil {
-			return p, fmt.Errorf("service: bad tol %q: %w", tol, err)
-		}
-		p.Tol = v
-	}
-	if mp := q.Get("maxpoles"); mp != "" {
-		n, err := strconv.Atoi(mp)
-		if err != nil {
-			return p, fmt.Errorf("service: bad maxpoles %q: %w", mp, err)
-		}
-		p.MaxPoles = n
-	}
-	if sh := q.Get("shifts"); sh != "" {
-		for _, tok := range strings.Split(sh, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-			if err != nil {
-				return p, fmt.Errorf("service: bad shifts entry %q: %w", tok, err)
-			}
-			p.Shifts = append(p.Shifts, v)
-		}
-	}
-	if pc := q.Get("portcluster"); pc != "" {
-		n, err := strconv.Atoi(pc)
-		if err != nil {
-			return p, fmt.Errorf("service: bad portcluster %q: %w", pc, err)
-		}
-		p.PortClusters = n
-	}
-	if err := p.canonicalizeShifts(); err != nil {
-		return p, err
-	}
-	if err := p.validate(); err != nil {
-		return p, err
-	}
-	return p, nil
+	return opts, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	pact "repro"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 )
@@ -156,7 +158,7 @@ func TestNoRawAliasWithoutResult(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	var reductions int
-	s.reduceFn = func(ctx context.Context, deck *netlist.Deck, p Params) (*Result, error) {
+	s.reduceFn = func(ctx context.Context, deck *netlist.Deck, opts pact.Options) (*Result, error) {
 		reductions++
 		return nil, errors.New("reduction failed")
 	}
@@ -311,6 +313,68 @@ func TestReduceRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestReduceRejectsBadOptionsBeforeParsing sends non-finite, out-of-range,
+// unknown and repeated query parameters. Each is a 400 whose error names
+// the parameter, and none reaches the parser or the cache.
+func TestReduceRejectsBadOptionsBeforeParsing(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ladder := netgen.Ladder(10, 250, 1e-12).String()
+	for _, tc := range []struct{ query, names string }{
+		{"fmax=NaN", "FMax"},
+		{"fmax=Inf", "FMax"},
+		{"fmax=5e9&tol=NaN", "Tol"},
+		{"fmax=5e9&sparsify=-1", "SparsifyTol"},
+		{"fmax=5e9&sparsify=Inf", "SparsifyTol"},
+		{"fmax=5e9&prefix=" + url.QueryEscape("x 1\nv9 a 0 1"), "Prefix"},
+		{"fmax=5e9&maxpole=1", `"maxpole"`},
+		{"fmax=5e9&fmax=6e9", `"fmax"`},
+		{"fmax=5e9&twopass=maybe", "twopass"},
+	} {
+		code, _, _, eresp := post(t, s, ladder, tc.query)
+		if code != http.StatusBadRequest {
+			t.Errorf("query %q: code %d, want 400", tc.query, code)
+			continue
+		}
+		if !strings.Contains(eresp.Error, tc.names) {
+			t.Errorf("query %q: error %q does not name %s", tc.query, eresp.Error, tc.names)
+		}
+	}
+	if st := s.Snapshot(); st.Cache.Hits+st.Cache.Misses != 0 {
+		t.Fatalf("cache %+v: a rejected request reached the cache", st.Cache)
+	}
+}
+
+// TestDefaultSpellingsShareOneEntry pins that the options are keyed after
+// canonicalization: spelling out a default, listing extra ports in
+// another case and order, or naming a switch false addresses the same
+// cache entry as leaving it out, while a real option change is a miss.
+func TestDefaultSpellingsShareOneEntry(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ladder := netgen.Ladder(60, 250, 1.35e-12).String()
+	_, _, first, _ := post(t, s, ladder, "fmax=5e9&ports=n3,n2")
+	if first == nil || first.Cache != "miss" {
+		t.Fatalf("first request: %+v, want a miss", first)
+	}
+	for _, q := range []string{
+		"fmax=5e9&tol=0.05&ports=n2,n3",
+		"ports=N2,n3,n2&fmax=5e9&prefix=pact&sparsify=0&maxpoles=0&twopass=false&subckt=0",
+	} {
+		code, _, got, _ := post(t, s, ladder, q)
+		if code != http.StatusOK || got.Cache != "hit" || got.Key != first.Key {
+			t.Fatalf("query %q: %d %+v, want a hit on key %s", q, code, got, first.Key)
+		}
+	}
+	_, _, sparse, _ := post(t, s, ladder, "fmax=5e9&ports=n3,n2&sparsify=0.5")
+	if sparse == nil || sparse.Cache != "miss" {
+		t.Fatalf("sparsify=0.5: %+v, want a miss", sparse)
+	}
+	if st := s.Snapshot(); st.Cache.Misses != 2 || st.Cache.Entries != 2 {
+		t.Fatalf("cache %+v, want 2 misses and 2 entries", st.Cache)
+	}
+}
+
 // slowServer returns a server whose reductions block until release is
 // closed (or the reduction context is canceled), so tests control
 // exactly what is in flight.
@@ -318,7 +382,7 @@ func slowServer(cfg Config) (s *Server, started chan string, release chan struct
 	s = New(cfg)
 	started = make(chan string, 64)
 	release = make(chan struct{})
-	s.reduceFn = func(ctx context.Context, deck *netlist.Deck, p Params) (*Result, error) {
+	s.reduceFn = func(ctx context.Context, deck *netlist.Deck, opts pact.Options) (*Result, error) {
 		started <- deck.Title
 		select {
 		case <-release:

@@ -344,10 +344,14 @@ func Extract(deck *netlist.Deck, extraPorts ...string) (*Extraction, error) {
 	return ex, nil
 }
 
+// DefaultPrefix names the generated elements and internal nodes when
+// RealizeOptions.Prefix is empty.
+const DefaultPrefix = "pact"
+
 // RealizeOptions configures unstamping.
 type RealizeOptions struct {
 	// Prefix names the generated elements and internal nodes (default
-	// "pact").
+	// DefaultPrefix).
 	Prefix string
 	// SparsifyTol is the relative threshold of the RCFIT
 	// sparsity-enhancement heuristic applied to the realized matrices
@@ -370,7 +374,7 @@ func Realize(model *core.ReducedModel, portNames []string, opts RealizeOptions) 
 		return nil, nil, fmt.Errorf("stamp: %d port names for %d ports", len(portNames), model.M)
 	}
 	if opts.Prefix == "" {
-		opts.Prefix = "pact"
+		opts.Prefix = DefaultPrefix
 	}
 	if opts.DropTol == 0 {
 		opts.DropTol = 1e-13
@@ -455,7 +459,7 @@ func Realize(model *core.ReducedModel, portNames []string, opts RealizeOptions) 
 // are p1..pm; internal nodes carry the usual prefix.
 func RealizeSubckt(model *core.ReducedModel, portNames []string, opts RealizeOptions) (*netlist.Subckt, *netlist.XInstance, error) {
 	if opts.Prefix == "" {
-		opts.Prefix = "pact"
+		opts.Prefix = DefaultPrefix
 	}
 	formal := make([]string, model.M)
 	for i := range formal {

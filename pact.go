@@ -78,78 +78,6 @@ func Parse(r io.Reader) (*Deck, error) { return netlist.Parse(r) }
 // ParseString parses a SPICE deck held in a string.
 func ParseString(s string) (*Deck, error) { return netlist.ParseString(s) }
 
-// Options configures a reduction.
-type Options struct {
-	// FMax is the maximum frequency (Hz) at which the reduced network must
-	// match the original within Tol. Required.
-	FMax float64
-	// Tol is the relative error tolerance (default 0.05 = 5%, mapping to
-	// the paper's cutoff factor of 3.04).
-	Tol float64
-	// Ordering for the Cholesky of the internal conductance block
-	// (default minimum degree).
-	Ordering Ordering
-	// LanczosMode for the pole analysis (default Selective = LASO).
-	LanczosMode LanczosMode
-	// TwoPass selects the memory-minimal two-pass Lanczos.
-	TwoPass bool
-	// MaxPoles optionally caps the number of retained poles.
-	MaxPoles int
-	// Shifts selects multi-expansion-point reduction: the projection basis
-	// is built from moment responses at each listed frequency (Hz; 0 is
-	// the DC point of classic PACT) instead of the s = 0 eigenanalysis
-	// alone. Listing order and duplicates are irrelevant — the set is
-	// canonicalized. Empty keeps the single-point path.
-	Shifts []float64
-	// ShiftMoments is the number of moment vectors per expansion point
-	// (default 1).
-	ShiftMoments int
-	// PortClusters, when positive, thins the multi-point basis cluster by
-	// cluster after grouping ports by electrical proximity on the exact
-	// port conductance block (TurboMOR-style port clustering) before the
-	// global union. Only meaningful together with Shifts.
-	PortClusters int
-	// ResiduePruneTol additionally drops retained poles whose worst-case
-	// contribution below FMax is smaller than this fraction of the
-	// admittance scale (0 disables). See core.Options.ResiduePruneTol.
-	ResiduePruneTol float64
-	// SparsifyTol enables the RCFIT sparsity-enhancement heuristic on the
-	// realized matrices (relative threshold; 0 disables).
-	SparsifyTol float64
-	// Prefix names generated elements and internal nodes (default
-	// "pact").
-	Prefix string
-	// ExtraPorts forces the given nodes to be treated as ports in
-	// addition to the automatically detected ones. Names are matched the
-	// way the parser reads node fields: trimmed, case-insensitive, "gnd"
-	// meaning ground.
-	ExtraPorts []string
-	// Seed seeds the Lanczos starting vector (default 1); reductions are
-	// deterministic for a fixed seed.
-	Seed int64
-	// AsSubckt wraps the realized reduced network in a .subckt definition
-	// plus one instance, instead of splicing flat R/C cards into the deck.
-	AsSubckt bool
-}
-
-func (o Options) coreOptions() core.Options {
-	return core.Options{
-		FMax:        o.FMax,
-		Tol:         o.Tol,
-		Ordering:    o.Ordering,
-		LanczosMode: o.LanczosMode,
-		TwoPass:     o.TwoPass,
-		MaxPoles:    o.MaxPoles,
-		Seed:        o.Seed,
-
-		Shifts:       o.Shifts,
-		ShiftMoments: o.ShiftMoments,
-		PortClusters: o.PortClusters,
-
-		ResiduePruneTol: o.ResiduePruneTol,
-	}
-}
-
 // Reduction is the result of a SPICE-in/SPICE-out reduction.
 type Reduction struct {
 	// Deck is the rewritten netlist: all non-RC elements of the input
@@ -190,9 +118,14 @@ func ReduceDeck(deck *Deck, opts Options) (*Reduction, error) {
 // ReduceDeckContext is ReduceDeck with cooperative cancellation: the
 // reduction observes ctx between work items, so a deadline or Ctrl-C
 // interrupts even a large Transform1/Transform2 within one item's
-// latency instead of running to completion.
+// latency instead of running to completion. Invalid options are rejected
+// by Options.Canonical before the extraction starts.
 func ReduceDeckContext(ctx context.Context, deck *Deck, opts Options) (*Reduction, error) {
 	start := time.Now()
+	opts, err := opts.Canonical()
+	if err != nil {
+		return nil, err
+	}
 	ex, err := stamp.Extract(deck, opts.ExtraPorts...)
 	if err != nil {
 		return nil, fmt.Errorf("pact: extract: %w", err)

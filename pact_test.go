@@ -184,13 +184,6 @@ func TestReduceSystemACAccuracy(t *testing.T) {
 	}
 }
 
-func TestOptionsValidation(t *testing.T) {
-	deck := netgen.Ladder(10, 100, 1e-12)
-	if _, err := ReduceDeck(deck, Options{}); err == nil {
-		t.Error("FMax=0 accepted")
-	}
-}
-
 func TestCutoffFrequencyExport(t *testing.T) {
 	if f := CutoffFrequency(1e9, 0.05); math.Abs(f/1e9-3.04) > 0.01 {
 		t.Errorf("CutoffFrequency = %v", f)
