@@ -34,6 +34,12 @@ go run ./cmd/pactlint ./...
 leg "go test -race"
 go test -race ./...
 
+leg "golden corpus (reduced-deck digests, never cached)"
+# SHA-256 digests of pact.ReduceDeck output over small netgen decks and
+# option vectors (testdata/golden.sha256). -count=1 defeats the test
+# cache, so a digest change is never hidden behind an earlier pass.
+go test -run '^TestGoldenCorpus$' -count=1 .
+
 leg "parallel-core race leg (pactcheck + -race on the pool-driven packages)"
 # internal/chol rides along for the DAG-schedule determinism pins and
 # the chol.dag.task drain-and-report path under the race detector;
