@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -506,6 +507,29 @@ func TestReduceRejectsBadOptions(t *testing.T) {
 		if _, _, err := Transform1(sys, o); err == nil {
 			t.Errorf("Transform1 accepted %+v", o)
 		}
+	}
+}
+
+// TestResolveDefaults pins every zero-value default Resolve fills in. In
+// particular a zero XCacheBudget is the 512 MiB default, not "no cache":
+// only a negative budget disables the X column cache.
+func TestResolveDefaults(t *testing.T) {
+	t.Parallel()
+	got, err := Options{FMax: 1}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Options{FMax: 1, Tol: 0.05, DenseThreshold: 96, XCacheBudget: 512 << 20,
+		LanczosConvTol: 1e-8, Seed: 1, ShiftMoments: 1, BasisDropTol: 1e-8}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Resolve() = %+v, want %+v", got, want)
+	}
+	off, err := Options{FMax: 1, XCacheBudget: -1}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.XCacheBudget != -1 {
+		t.Fatalf("negative XCacheBudget resolved to %d", off.XCacheBudget)
 	}
 }
 

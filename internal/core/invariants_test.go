@@ -200,17 +200,29 @@ func TestMomentsMatchTaylor(t *testing.T) {
 	}
 }
 
-// TestRPrimeColumnAgainstDense verifies the streamed R′ columns against
+// TestRPrimeBlockAgainstDense verifies the blocked R′ columns against
 // the dense formula R′ = L⁻¹(R − E D⁻¹ Q) (in the permuted internal
 // space, checked via the projected admittance instead of raw columns):
-// Y(s) = A′ + sB′ − s² R′ᵀ(I + sE′)⁻¹R′ must equal the exact Y(s).
-func TestRPrimeColumnAgainstDense(t *testing.T) {
+// Y(s) = A′ + sB′ − s² R′ᵀ(I + sE′)⁻¹R′ must equal the exact Y(s), with
+// the X = D⁻¹Q columns cached (the default budget) and recomputed per
+// column (a negative budget).
+func TestRPrimeBlockAgainstDense(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(84))
 	sys := randomSystem(rng, 2, 10)
-	tr, _, err := Transform1(sys, Options{FMax: 1})
+	for _, budget := range []int64{0, -1} {
+		checkRPrimeBlock(t, sys, budget)
+	}
+}
+
+func checkRPrimeBlock(t *testing.T, sys *System, budget int64) {
+	t.Helper()
+	tr, st, err := Transform1(sys, Options{FMax: 1, XCacheBudget: budget})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.XCached != (budget >= 0) {
+		t.Fatalf("budget %d: XCached = %v", budget, st.XCached)
 	}
 	n, m := sys.N, sys.M
 	// Dense E′ via the operator.
@@ -230,9 +242,7 @@ func TestRPrimeColumnAgainstDense(t *testing.T) {
 	}
 	// R′ columns.
 	rP := dense.New(n, m)
-	col := make([]float64, n)
-	for j := 0; j < m; j++ {
-		tr.RPrimeColumn(j, col)
+	for j, col := range tr.RPrimeBlock() {
 		for i := 0; i < n; i++ {
 			rP.Set(i, j, col[i])
 		}
@@ -273,7 +283,7 @@ func TestRPrimeColumnAgainstDense(t *testing.T) {
 			}
 		}
 		if d := dense.MaxAbsDiff(got, want); d > 1e-8*(1+cNorm(want)) {
-			t.Fatalf("s=%v: transformed Y differs from exact by %g", sv, d)
+			t.Fatalf("budget %d, s=%v: transformed Y differs from exact by %g", budget, sv, d)
 		}
 	}
 }

@@ -18,15 +18,17 @@ import (
 	"repro/internal/sparse"
 )
 
-// This file is the multi-expansion-point replacement for Transform 2.
+// This file is Transform 2's multi-expansion-point back end
+// (multiPointPoles); Transform2Context runs it in place of the
+// single-point eigenanalysis when Options.Shifts is set.
 //
 // Single-point PACT keeps the dominant eigenvectors of E′ = L⁻¹EL⁻ᵀ:
 // exact at s = 0 through two moments, but blind to where the ports
 // actually drive the network at higher frequencies. The multi-point mode
 // works on the same Transform-1 state and instead builds a projection
 // basis from the internal responses (D + s₀E)⁻¹P at a small set of
-// expansion points s₀ = j2πf (P = R − EX is the connection block
-// Transform 1 already assembles). The candidate columns are unioned by a
+// expansion points s₀ = j2πf (P = R − EX is the connection block,
+// connectionBlock). The candidate columns are unioned by a
 // D-orthonormal modified Gram–Schmidt into V with VᵀDV = I, so the
 // congruence-projected pencil is simply
 //
@@ -64,42 +66,6 @@ func CanonicalShifts(shifts []float64) ([]float64, error) {
 	// Only bit-identical listing duplicates collapse; near-equal shifts
 	// are distinct expansion points.
 	return slices.Compact(out), nil
-}
-
-// connectionBlock assembles the m columns of P = R − EX in the permuted
-// internal frame — the right-hand-side block RPrimeBlock forward-solves,
-// kept unsolved here because the multi-point moments apply (D + s₀E)⁻¹
-// themselves. Column j is owned by one goroutine, so the block is
-// bit-identical at every GOMAXPROCS.
-func (t *Transformed) connectionBlock(ctx context.Context) ([][]float64, error) {
-	m, n := t.M, t.N
-	back := make([]float64, m*n)
-	out := make([][]float64, m)
-	workers := par.Workers(m)
-	wcs := make([]workCounters, workers)
-	xbufs := make([][]float64, workers)
-	for w := range xbufs {
-		xbufs[w] = make([]float64, n)
-	}
-	err := par.ForWorkersCtx(ctx, m, func(w, j int) {
-		col := back[j*n : (j+1)*n]
-		out[j] = col
-		x := t.columnX(j, xbufs[w], &wcs[w])
-		t.ep.MulVec(col, x)
-		wcs[w].matVecs++
-		for i := range col {
-			col[i] = -col[i]
-		}
-		cols, vals := t.rpT.Row(j)
-		for p, i := range cols {
-			col[i] += vals[p]
-		}
-	})
-	t.stats.merge(wcs)
-	if err != nil {
-		return nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
-	}
-	return out, nil
 }
 
 // alignUnionPositions maps every stored position of the union pattern to
@@ -351,30 +317,29 @@ func (t *Transformed) clusterPorts(k int) [][]int {
 	})
 }
 
-// transform2MultiPoint is the multi-expansion-point Transform 2: moment
-// candidates per shift, per-cluster thinning when port clustering is on,
-// the global D-orthonormal union, and the congruence projection of the
-// (D, E) pencil onto it. A shift whose factorization fails is dropped
-// with a recorded Recovery (the surviving shifts still span a valid
-// congruence basis); only when every shift fails does the stage return a
-// typed StageError. Cancellation is terminal immediately. opts arrive
-// resolved (ReduceContext), so the shift set is already canonical.
-func (t *Transformed) transform2MultiPoint(ctx context.Context, opts Options) (*ReducedModel, error) {
+// multiPointPoles is the multi-expansion-point Transform 2 back end:
+// moment candidates per shift, per-cluster thinning when port clustering
+// is on, the global D-orthonormal union V, and the Rayleigh–Ritz
+// projection Ê = VᵀEV, whose eigenvalues ≥ λ_c are the retained poles. A
+// MaxPoles cap keeps the strongest residues (selectStrongestPoles). A
+// shift whose factorization fails is dropped with a recorded Recovery
+// (the surviving shifts still span a valid congruence basis); only when
+// every shift fails does the stage return a typed StageError.
+// Cancellation is terminal immediately. opts arrive resolved, so the
+// shift set is already canonical.
+func (t *Transformed) multiPointPoles(ctx context.Context, opts Options) ([]float64, *dense.Mat, error) {
 	m, n := t.M, t.N
 	stats := t.stats
-	if n == 0 {
-		return &ReducedModel{M: m, A: t.APrime, B: t.BPrime, R: dense.New(0, m)}, nil
-	}
 	shifts := opts.Shifts
 	stats.Shifts = len(shifts)
 
-	pcols, err := t.connectionBlock(ctx)
+	_, pcols, err := t.connectionBlock(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
 	}
 	sb, err := t.newShiftedBasisState()
 	if err != nil {
-		return nil, fmt.Errorf("core: shifted symbolic analysis: %w", err)
+		return nil, nil, fmt.Errorf("core: shifted symbolic analysis: %w", err)
 	}
 
 	// Candidate generation, shift by shift in canonical order. The
@@ -385,12 +350,12 @@ func (t *Transformed) transform2MultiPoint(ctx context.Context, opts Options) (*
 	var attempts []resilience.Attempt
 	for k, f := range shifts {
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
+			return nil, nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
 		}
 		sc, sp, serr := t.shiftCandidates(sb, k, opts.ShiftMoments, f, pcols)
 		if serr != nil {
 			if resilience.IsCancellation(serr) {
-				return nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
+				return nil, nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
 			}
 			attempts = append(attempts, resilience.Attempt{
 				Action: fmt.Sprintf("factorize(D+s₀E), f=%g Hz", f),
@@ -403,7 +368,7 @@ func (t *Transformed) transform2MultiPoint(ctx context.Context, opts Options) (*
 		ports = append(ports, sp...)
 	}
 	if stats.ShiftsDropped == len(shifts) {
-		return nil, resilience.NewStageError(resilience.StageMultiPoint,
+		return nil, nil, resilience.NewStageError(resilience.StageMultiPoint,
 			"every expansion point failed to factor", attempts, attempts[len(attempts)-1].Err)
 	}
 	if stats.ShiftsDropped > 0 {
@@ -451,7 +416,7 @@ func (t *Transformed) transform2MultiPoint(ctx context.Context, opts Options) (*
 	stats.BasisKept = len(basis)
 	q := len(basis)
 	if q == 0 {
-		return nil, resilience.NewStageError(resilience.StageMultiPoint,
+		return nil, nil, resilience.NewStageError(resilience.StageMultiPoint,
 			"basis union kept no columns", attempts, fmt.Errorf("core: all %d candidates dropped", len(cands)))
 	}
 
@@ -465,7 +430,7 @@ func (t *Transformed) transform2MultiPoint(ctx context.Context, opts Options) (*
 		ev[j] = e
 	})
 	if merr != nil {
-		return nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
+		return nil, nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
 	}
 	stats.MatVecs += q
 	eHat := dense.New(q, q)
@@ -486,90 +451,49 @@ func (t *Transformed) transform2MultiPoint(ctx context.Context, opts Options) (*
 	}
 
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
+		return nil, nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
 	}
-	vals, vecs, err := dense.SymEig(eHat, true)
+	vals, uk, err := symEigAbove(eHat, stats.LambdaC)
 	if err != nil {
-		return nil, fmt.Errorf("core: eigensolve of projected Ê: %w", err)
+		return nil, nil, fmt.Errorf("core: eigensolve of projected Ê: %w", err)
 	}
-	// Keep λ ≥ λ_c descending — the same frequency cutoff as the
-	// single-point path, so every retained pole is strictly positive and
-	// the realized internal nodes are well defined.
-	var keep []int
-	for i := q - 1; i >= 0; i-- {
-		if vals[i] >= stats.LambdaC {
-			keep = append(keep, i)
-		}
-	}
-	k := len(keep)
-	outVals := make([]float64, k)
+	// The same λ ≥ λ_c cutoff as the single-point path keeps every
+	// retained pole strictly positive, so the realized internal nodes are
+	// well defined. R_k = Wₖᵀ R̂ for the kept eigenvectors Wₖ of Ê.
+	k := len(vals)
 	rk := dense.New(k, m)
-	for c, idx := range keep {
-		outVals[c] = vals[idx]
+	for c := 0; c < k; c++ {
 		for j := 0; j < m; j++ {
 			s := 0.0
 			for i := 0; i < q; i++ {
-				s += vecs.At(i, idx) * rHat.At(i, j)
+				s += uk.At(i, c) * rHat.At(i, j)
 			}
 			rk.Set(c, j, s)
 		}
 	}
 	if opts.MaxPoles > 0 && k > opts.MaxPoles {
-		outVals, rk = selectStrongestPoles(outVals, rk, opts.MaxPoles, opts.FMax)
-		k = len(outVals)
+		vals, rk = selectStrongestPoles(vals, rk, opts.MaxPoles, opts.FMax)
 	}
-	if check.Enabled {
-		check.PoleRealNonneg("multi-point retained eigenvalues of Ê", outVals)
-	}
-	stats.PolesFound = k
-
-	model := &ReducedModel{M: m, Lambda: outVals, A: t.APrime, B: t.BPrime, R: rk}
-	if opts.ResiduePruneTol > 0 && k > 0 {
-		model = pruneWeakPoles(model, opts, stats)
-	}
-	if check.Enabled {
-		gr, cr := model.Matrices()
-		check.ReducedPassive("multi-point realized reduced model", gr, cr, check.DefaultTol)
-	}
-	return model, nil
+	return vals, rk, nil
 }
 
 // selectStrongestPoles enforces an opts.MaxPoles budget on the
 // multi-point model. The single-point path truncates by eigenvalue
 // (keep the slowest poles); with hundreds of ports that wastes budget
 // on slow modes the ports barely couple to. Here the budget goes to
-// the poles with the largest worst-case contribution to Y(s) over the
-// band [0, ω_max]: the pole term s²rᵢᵀrᵢ/(1+sλᵢ) peaks at the band
-// edge with magnitude ω²‖rᵢ‖²/√(1+(ωλᵢ)²), ω = 2π·FMax. Selection is
-// by that score, ties broken toward the slower pole, and the kept set
-// is re-sorted λ-descending so the model keeps the ordering every
-// consumer (and check.PoleRealNonneg) expects. Dropping rows of R_k is
-// a congruence restriction, so passivity is untouched.
+// the poles with the largest band-edge score (poleScores), ties broken
+// toward the slower pole, and the kept set is re-sorted λ-descending so
+// the model keeps the ordering every consumer (and
+// check.PoleRealNonneg) expects.
 func selectStrongestPoles(vals []float64, rk *dense.Mat, budget int, fmax float64) ([]float64, *dense.Mat) {
-	k, m := len(vals), rk.C
-	w := 2 * math.Pi * fmax
-	idx := make([]int, k)
-	score := make([]float64, k)
+	score := poleScores(vals, rk, fmax)
+	idx := make([]int, len(vals))
 	for i := range idx {
 		idx[i] = i
-		nrm2 := 0.0
-		for j := 0; j < m; j++ {
-			v := rk.At(i, j)
-			nrm2 += v * v
-		}
-		score[i] = w * w * nrm2 / math.Sqrt(1+w*vals[i]*w*vals[i])
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return score[idx[a]] > score[idx[b]] })
 	sel := idx[:budget]
 	// vals arrives λ-descending, so ascending index order restores it.
 	sort.Ints(sel)
-	outVals := make([]float64, budget)
-	out := dense.New(budget, m)
-	for c, i := range sel {
-		outVals[c] = vals[i]
-		for j := 0; j < m; j++ {
-			out.Set(c, j, rk.At(i, j))
-		}
-	}
-	return outVals, out
+	return selectRows(vals, rk, sel)
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/dense"
 )
 
 // Determinism pins of the multi-point mode: the model must be
@@ -157,5 +160,88 @@ func TestMultiPointTrivialSystems(t *testing.T) {
 	}
 	if !model.CheckPassive(1e-12) {
 		t.Fatal("trivial multi-point model not passive")
+	}
+}
+
+// TestMultiPointResiduePruning mirrors TestResiduePruning on the
+// multi-point back end: the prune runs in Transform 2's shared tail, so
+// it must act on multi-point poles exactly as on single-point ones.
+func TestMultiPointResiduePruning(t *testing.T) {
+	t.Parallel()
+	sys := multiPointFixture(t)
+	fmax := 0.05
+	base := Options{FMax: fmax, Shifts: []float64{0, fmax}}
+	full := reduceMP(t, sys, base)
+	// A tiny threshold must prune nothing and leave the model untouched.
+	o := base
+	o.ResiduePruneTol = 1e-14
+	same, s0, err := Reduce(sys, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s0.PolesPruned != 0 {
+		t.Fatalf("tiny threshold pruned %d poles", s0.PolesPruned)
+	}
+	pinModelBits(t, "tiny prune", same, full)
+	// The fixture's weakest poles fall below a 1% threshold; the pruned
+	// model must stay passive and within the combined error budget.
+	o.ResiduePruneTol = 0.01
+	pruned, sp, err := Reduce(sys, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.PolesPruned == 0 {
+		t.Fatalf("1%% threshold pruned none of %d multi-point poles", full.K())
+	}
+	if pruned.K() != full.K()-sp.PolesPruned || sp.PolesFound != pruned.K() {
+		t.Fatalf("K %d, PolesFound %d after pruning %d of %d", pruned.K(), sp.PolesFound, sp.PolesPruned, full.K())
+	}
+	if !pruned.CheckPassive(1e-9) {
+		t.Fatal("pruned multi-point model lost passivity")
+	}
+	for _, f := range []float64{fmax / 5, fmax} {
+		s := complex(0, 2*math.Pi*f)
+		want, err := sys.Y(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Budget: the dropped-pole tolerance plus one prune tolerance per
+		// pruned pole.
+		budget := (3*0.05 + 0.01*float64(sp.PolesPruned+1)) * cNorm(want)
+		if d := dense.MaxAbsDiff(pruned.Y(s), want); d > budget {
+			t.Fatalf("f=%g: pruned multi-point model error %g exceeds %g", f, d, budget)
+		}
+	}
+}
+
+// TestTransform2HonorsShifts pins that Transform 2 called on its own
+// runs the multi-point back end when Shifts is set: Transform 1 then
+// Transform2Context must give Reduce's model bit for bit.
+func TestTransform2HonorsShifts(t *testing.T) {
+	t.Parallel()
+	sys := multiPointFixture(t)
+	fmax := 0.05
+	for _, o := range []Options{
+		{FMax: fmax, Shifts: []float64{fmax, 0}},
+		{FMax: fmax, Shifts: []float64{0, fmax}, MaxPoles: 6, ResiduePruneTol: 0.01},
+	} {
+		want, wantStats, err := Reduce(sys, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, stats, err := Transform1(sys, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tr.Transform2Context(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinModelBits(t, "Transform1+Transform2Context", got, want)
+		if stats.Shifts != 2 || stats.BasisKept != wantStats.BasisKept || stats.PolesPruned != wantStats.PolesPruned {
+			t.Fatalf("stats: shifts %d, basis kept %d, pruned %d; Reduce: %d, %d, %d",
+				stats.Shifts, stats.BasisKept, stats.PolesPruned,
+				wantStats.Shifts, wantStats.BasisKept, wantStats.PolesPruned)
+		}
 	}
 }

@@ -59,14 +59,17 @@ type Options struct {
 	// the cross-validation path (default 96; set negative to disable).
 	DenseThreshold int
 	// XCacheBudget bounds the bytes used to cache the columns of
-	// X = D⁻¹Q between the two passes that need them (default 512 MiB;
-	// set to 0 to force the paper's column-at-a-time recomputation).
+	// X = D⁻¹Q between the two passes that need them. Zero selects the
+	// default of 512 MiB; a negative budget disables the cache and forces
+	// the paper's column-at-a-time recomputation.
 	XCacheBudget int64
 	// Seed seeds the Lanczos starting vector (default 1).
 	Seed int64
-	// MaxPoles, when positive, caps the number of retained poles (orders
-	// the kept eigenvalues descending and keeps the largest). Zero keeps
-	// everything above the cutoff.
+	// MaxPoles, when positive, caps the number of retained poles. Zero
+	// keeps everything above the cutoff. The cap still means two things:
+	// single-point keeps the slowest poles (the largest eigenvalues),
+	// multi-point keeps the poles with the largest band-edge residue
+	// strength (selectStrongestPoles).
 	MaxPoles int
 	// Shifts, when non-empty, switches Transform 2 to the
 	// multi-expansion-point mode: D + s₀E is factored at s₀ = j2πf for
@@ -315,12 +318,7 @@ func ReduceContext(ctx context.Context, sys *System, opts Options) (*ReducedMode
 	if err != nil {
 		return nil, nil, err
 	}
-	var model *ReducedModel
-	if len(opts.Shifts) > 0 {
-		model, err = t.transform2MultiPoint(ctx, opts)
-	} else {
-		model, err = t.Transform2Context(ctx, opts)
-	}
+	model, err := t.Transform2Context(ctx, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -636,114 +634,137 @@ func (t *Transformed) EOp() lanczos.Operator {
 	return &ePrimeOp{n: t.N, fact: t.fact, ep: t.ep, tmp: make([]float64, t.N), stats: t.stats}
 }
 
-// RPrimeColumn computes column j of R′ = L⁻¹(R − EX) into dst (length N).
-// Forming all of R′ takes the m·n memory the Padé-based methods need and
-// PACT avoids; it is exported for exactly that comparison. It updates the
-// shared statistics and is therefore not safe for concurrent use — batch
-// callers should use RPrimeBlock, which fans the independent port columns
-// out across the worker pool.
-func (t *Transformed) RPrimeColumn(j int, dst []float64) {
-	var wc workCounters
-	t.rPrimeColumn(j, dst, make([]float64, t.N), &wc)
-	t.stats.Solves += wc.solves
-	t.stats.MatVecs += wc.matVecs
-}
-
-// rPrimeColumn is the reentrant core of RPrimeColumn: xbuf is scratch for
-// the X column (unused when cached) and counters go to wc.
-func (t *Transformed) rPrimeColumn(j int, dst, xbuf []float64, wc *workCounters) {
-	x := t.columnX(j, xbuf, wc)
-	t.ep.MulVec(dst, x)
-	wc.matVecs++
-	for i := range dst {
-		dst[i] = -dst[i]
-	}
-	cols, vals := t.rpT.Row(j)
-	for p, i := range cols {
-		dst[i] += vals[p]
-	}
-	t.fact.LSolve(dst)
-	wc.solves++
-}
-
-// RPrimeBlock computes all M columns of R′ = L⁻¹(R − EX) as a blocked
-// multi-RHS triangular solve: the right-hand sides R − EX assemble in
-// parallel into one column-major block, then a single LSolveMulti
-// streams each factor panel once per solve chunk. Per column the
-// arithmetic equals rPrimeColumn's exactly, so the block is
-// bit-identical to M serial RPrimeColumn calls at every GOMAXPROCS.
+// RPrimeBlock computes all M columns of R′ = L⁻¹(R − EX): the
+// connection block P = R − EX (connectionBlock) forward-solved as one
+// blocked multi-RHS LSolveMulti, which streams each factor panel once
+// per solve chunk. Forming all of R′ takes the m·n memory the Padé-based
+// methods need and PACT avoids; it is exported for exactly that
+// comparison. The block is bit-identical at every GOMAXPROCS.
 func (t *Transformed) RPrimeBlock() [][]float64 {
+	block, cols, _ := t.connectionBlock(context.Background()) // an uncancelable context cannot fail
+	t.fact.LSolveMulti(block, t.M)
+	t.stats.Solves += t.M
+	return cols
+}
+
+// connectionBlock assembles the m columns of P = R − EX in the permuted
+// internal frame, column-major in block with cols[j] its column j. It is
+// the right-hand side RPrimeBlock forward-solves, and the multi-point
+// basis applies (D + s₀E)⁻¹ to it unsolved. Column j is owned by one
+// goroutine, so the block is bit-identical at every GOMAXPROCS. The only
+// error is ctx's.
+func (t *Transformed) connectionBlock(ctx context.Context) (block []float64, cols [][]float64, err error) {
 	m, n := t.M, t.N
-	back := make([]float64, m*n)
-	out := make([][]float64, m)
+	block = make([]float64, m*n)
+	cols = make([][]float64, m)
 	workers := par.Workers(m)
 	wcs := make([]workCounters, workers)
 	xbufs := make([][]float64, workers)
 	for w := range xbufs {
 		xbufs[w] = make([]float64, n)
 	}
-	par.ForWorkers(m, func(w, j int) {
-		col := back[j*n : (j+1)*n]
-		out[j] = col
+	err = par.ForWorkersCtx(ctx, m, func(w, j int) {
+		col := block[j*n : (j+1)*n]
+		cols[j] = col
 		x := t.columnX(j, xbufs[w], &wcs[w])
 		t.ep.MulVec(col, x)
 		wcs[w].matVecs++
 		for i := range col {
 			col[i] = -col[i]
 		}
-		cols, vals := t.rpT.Row(j)
-		for p, i := range cols {
+		rcols, vals := t.rpT.Row(j)
+		for p, i := range rcols {
 			col[i] += vals[p]
 		}
 	})
 	t.stats.merge(wcs)
-	t.fact.LSolveMulti(back, m)
-	t.stats.Solves += m
-	return out
+	return block, cols, err
 }
 
 // Stats returns the running statistics of this transform.
 func (t *Transformed) Stats() *Stats { return t.stats }
 
 // Transform2 performs the pole-analysis congruence transform (Section
-// 3.2): eigenvalues of E′ above λ_c are found (densely for small N,
-// otherwise with LASO), and the kept eigenspace is projected onto the
-// connection block.
+// 3.2): a Rayleigh–Ritz projection of E′ = L⁻¹EL⁻ᵀ whose eigenvalues
+// above λ_c are kept, projected onto the connection block.
 func (t *Transformed) Transform2(opts Options) (*ReducedModel, error) {
 	return t.Transform2Context(context.Background(), opts)
 }
 
-// Transform2Context is Transform2 with cooperative cancellation and a
-// recovery ladder on Lanczos stagnation: a run that fails with
-// lanczos.ErrNoConvergence is restarted once with a fresh starting seed
-// and full reorthogonalization; if that also stagnates, the eigenproblem
-// falls back to the dense eigenpath (exact, the same code the
-// DenseThreshold cross-validation uses) with the reason recorded in
-// Stats.Recoveries and Stats.DenseEig set. Cancellation and non-stagnation
-// failures are never retried.
+// Transform2Context is Transform2 with cooperative cancellation. One of
+// two back ends picks the subspace E′ is projected on and returns the
+// retained poles λ ≥ λ_c with their residue rows R_k:
+//
+//   - single-point (no Shifts, singlePointPoles): the Krylov space of
+//     Lanczos or two-pass Lanczos, or the whole space by the dense
+//     eigenpath, capped by MaxPoles to the slowest poles;
+//   - multi-point (Shifts, multiPointPoles): the union of the moment
+//     bases at the expansion points, capped by MaxPoles to the strongest
+//     residues.
+//
+// One tail then checks the poles, applies the ResiduePruneTol prune and
+// the passivity check, and assembles the model.
 func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*ReducedModel, error) {
 	opts, err := opts.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	m, n := t.M, t.N
-	stats := t.stats
-	if n == 0 {
+	m, stats := t.M, t.stats
+	if t.N == 0 {
 		return &ReducedModel{M: m, A: t.APrime, B: t.BPrime, R: dense.New(0, m)}, nil
 	}
-	op := t.EOp()
+	poles := t.singlePointPoles
+	if len(opts.Shifts) > 0 {
+		poles = t.multiPointPoles
+	}
+	vals, rk, err := poles(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	if check.Enabled {
+		check.PoleRealNonneg("Transform2 retained poles", vals)
+	}
+	stats.PolesFound = len(vals)
+	model := &ReducedModel{M: m, Lambda: vals, A: t.APrime, B: t.BPrime, R: rk}
+	if opts.ResiduePruneTol > 0 && len(vals) > 0 {
+		model = pruneWeakPoles(model, opts, stats)
+	}
+	if check.Enabled {
+		gr, cr := model.Matrices()
+		check.ReducedPassive("Transform2 realized reduced model", gr, cr, check.DefaultTol)
+	}
+	return model, nil
+}
+
+// singlePointPoles is the paper's Transform 2 back end: the eigenpairs
+// of E′ above λ_c, found densely for small N and otherwise by LASO (or
+// two-pass Lanczos), truncated to the MaxPoles slowest, and projected
+// onto the connection block.
+//
+// Lanczos stagnation has a recovery ladder: a run that fails with
+// lanczos.ErrNoConvergence is restarted once with a fresh starting seed
+// and full reorthogonalization; if that also stagnates, the eigenproblem
+// falls back to the dense eigenpath (exact, the same code the
+// DenseThreshold cross-validation uses) with the reason recorded in
+// Stats.Recoveries and Stats.DenseEig set. Cancellation and
+// non-stagnation failures are never retried.
+func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]float64, *dense.Mat, error) {
+	m, n := t.M, t.N
+	stats := t.stats
 	var vals []float64
 	var uk *dense.Mat
+	var err error
 	if opts.DenseThreshold >= 0 && n <= opts.DenseThreshold {
 		stats.DenseEig = true
 		vals, uk, err = t.denseEigAbove(ctx, stats.LambdaC)
 		if err != nil {
 			if resilience.IsCancellation(err) {
-				return nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
+				return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
 			}
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
+		op := t.EOp()
 		lopts := lanczos.Options{
 			Cutoff:  stats.LambdaC,
 			Mode:    opts.LanczosMode,
@@ -789,10 +810,10 @@ func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*Red
 				dvals, duk, derr := t.denseEigAbove(ctx, stats.LambdaC)
 				if derr != nil {
 					if resilience.IsCancellation(derr) {
-						return nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
+						return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
 					}
 					attempts = append(attempts, resilience.Attempt{Action: "dense eigenpath fallback", Err: derr})
-					return nil, resilience.NewStageError(resilience.StagePoleAnalysis,
+					return nil, nil, resilience.NewStageError(resilience.StagePoleAnalysis,
 						"recovery ladder exhausted", attempts, lerr)
 				}
 				stats.DenseEig = true
@@ -809,9 +830,9 @@ func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*Red
 		}
 		if lerr != nil {
 			if resilience.IsCancellation(lerr) {
-				return nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
+				return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
 			}
-			return nil, fmt.Errorf("core: pole analysis (LASO): %w", lerr)
+			return nil, nil, fmt.Errorf("core: pole analysis (LASO): %w", lerr)
 		}
 		if res != nil {
 			vals = res.Values
@@ -824,11 +845,7 @@ func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*Red
 	if opts.MaxPoles > 0 && len(vals) > opts.MaxPoles {
 		vals = vals[:opts.MaxPoles]
 	}
-	if check.Enabled {
-		check.PoleRealNonneg("Transform2 retained eigenvalues of E'", vals)
-	}
 	k := len(vals)
-	stats.PolesFound = k
 
 	// R_k = Ukᵀ R′ = Zkᵀ P with Zk = L⁻ᵀ Uk and P = R − EX, assembled
 	// column by column: R_k[c][j] = z_cᵀ r_j − (E z_c)ᵀ x_j. Both stages
@@ -836,75 +853,99 @@ func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*Red
 	// columns), so each fans out across the pool with per-worker counters
 	// and scratch; every slot is written by exactly one goroutine.
 	rk := dense.New(k, m)
-	if k > 0 {
-		zk := make([][]float64, k)
-		ez := make([][]float64, k)
-		zback := make([]float64, k*n)
+	if k == 0 {
+		return vals, rk, nil
+	}
+	zk := make([][]float64, k)
+	ez := make([][]float64, k)
+	zback := make([]float64, k*n)
+	for c := 0; c < k; c++ {
+		z := zback[c*n : (c+1)*n]
+		for i := 0; i < n; i++ {
+			z[i] = uk.At(i, c)
+		}
+		zk[c] = z
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
+	}
+	// Z_k = L⁻ᵀ U_k as one blocked transpose solve — bit-identical to
+	// k single LTSolve calls, but each factor panel streams once per
+	// solve chunk.
+	t.fact.LTSolveMulti(zback, k)
+	stats.Solves += k
+	zwcs := make([]workCounters, par.Workers(k))
+	zerr := par.ForWorkersCtx(ctx, k, func(w, c int) {
+		e := make([]float64, n)
+		t.ep.MulVec(e, zk[c])
+		zwcs[w].matVecs++
+		ez[c] = e
+	})
+	stats.merge(zwcs)
+	if zerr != nil {
+		return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
+	}
+	workers := par.Workers(m)
+	wcs := make([]workCounters, workers)
+	xbufs := make([][]float64, workers)
+	for w := range xbufs {
+		xbufs[w] = make([]float64, n)
+	}
+	perr := par.ForWorkersCtx(ctx, m, func(w, j int) {
+		x := t.columnX(j, xbufs[w], &wcs[w])
+		cols, vals2 := t.rpT.Row(j) // column j of permuted R
 		for c := 0; c < k; c++ {
-			z := zback[c*n : (c+1)*n]
-			for i := 0; i < n; i++ {
-				z[i] = uk.At(i, c)
+			s := 0.0
+			for p, i := range cols {
+				s += vals2[p] * zk[c][i]
 			}
-			zk[c] = z
+			s -= sparse.Dot(ez[c], x)
+			rk.Set(c, j, s)
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
-		}
-		// Z_k = L⁻ᵀ U_k as one blocked transpose solve — bit-identical to
-		// k single LTSolve calls, but each factor panel streams once per
-		// solve chunk.
-		t.fact.LTSolveMulti(zback, k)
-		stats.Solves += k
-		zwcs := make([]workCounters, par.Workers(k))
-		zerr := par.ForWorkersCtx(ctx, k, func(w, c int) {
-			e := make([]float64, n)
-			t.ep.MulVec(e, zk[c])
-			zwcs[w].matVecs++
-			ez[c] = e
-		})
-		stats.merge(zwcs)
-		if zerr != nil {
-			return nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
-		}
-		workers := par.Workers(m)
-		wcs := make([]workCounters, workers)
-		xbufs := make([][]float64, workers)
-		for w := range xbufs {
-			xbufs[w] = make([]float64, n)
-		}
-		perr := par.ForWorkersCtx(ctx, m, func(w, j int) {
-			x := t.columnX(j, xbufs[w], &wcs[w])
-			cols, vals2 := t.rpT.Row(j) // column j of permuted R
-			for c := 0; c < k; c++ {
-				s := 0.0
-				for p, i := range cols {
-					s += vals2[p] * zk[c][i]
-				}
-				s -= sparse.Dot(ez[c], x)
-				rk.Set(c, j, s)
-			}
-		})
-		stats.merge(wcs)
-		if perr != nil {
-			return nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
-		}
+	})
+	stats.merge(wcs)
+	if perr != nil {
+		return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
 	}
+	return vals, rk, nil
+}
 
-	model := &ReducedModel{M: m, Lambda: vals, A: t.APrime, B: t.BPrime, R: rk}
-	if opts.ResiduePruneTol > 0 && k > 0 {
-		model = pruneWeakPoles(model, opts, stats)
+// poleScores returns each pole's worst-case contribution to Y(s) over
+// the band [0, ω_max], ω_max = 2π·fmax: the term s²rᵢᵀrᵢ/(1+sλᵢ) peaks at
+// the band edge with magnitude ω²‖rᵢ‖²/√(1+(ωλᵢ)²), rᵢ row i of rk. The
+// multi-point MaxPoles cap and the residue prune both rank by it.
+func poleScores(vals []float64, rk *dense.Mat, fmax float64) []float64 {
+	w := 2 * math.Pi * fmax
+	score := make([]float64, len(vals))
+	for i, lam := range vals {
+		nrm2 := 0.0
+		for j := 0; j < rk.C; j++ {
+			v := rk.At(i, j)
+			nrm2 += v * v
+		}
+		score[i] = w * w * nrm2 / math.Sqrt(1+w*lam*w*lam)
 	}
-	if check.Enabled {
-		gr, cr := model.Matrices()
-		check.ReducedPassive("Transform2 realized reduced model", gr, cr, check.DefaultTol)
+	return score
+}
+
+// selectRows returns the poles vals[rows] and the matching rows of rk,
+// in the order of rows. Dropping rows of R_k is a congruence
+// restriction, so the selected model stays passive.
+func selectRows(vals []float64, rk *dense.Mat, rows []int) ([]float64, *dense.Mat) {
+	outVals := make([]float64, len(rows))
+	out := dense.New(len(rows), rk.C)
+	for c, i := range rows {
+		outVals[c] = vals[i]
+		for j := 0; j < rk.C; j++ {
+			out.Set(c, j, rk.At(i, j))
+		}
 	}
-	return model, nil
+	return outVals, out
 }
 
 // pruneWeakPoles drops retained poles whose worst-case contribution to
-// the admittance below FMax is negligible relative to the port blocks.
-// The bound on the term −s²rᵢᵀrᵢ/(1+sλᵢ) at s = jω_max is
-// ω_max²·‖rᵢ‖² / √(1+(ω_max λᵢ)²).
+// the admittance below FMax (poleScores) is smaller than
+// ResiduePruneTol times the port-block admittance scale at FMax.
 func pruneWeakPoles(model *ReducedModel, opts Options, stats *Stats) *ReducedModel {
 	m := model.M
 	wmax := 2 * math.Pi * opts.FMax
@@ -921,31 +962,18 @@ func pruneWeakPoles(model *ReducedModel, opts Options, stats *Stats) *ReducedMod
 	if scale == 0 {
 		return model
 	}
-	var lambda []float64
 	var rows []int
-	for p, lam := range model.Lambda {
-		norm2 := 0.0
-		for j := 0; j < m; j++ {
-			norm2 += model.R.At(p, j) * model.R.At(p, j)
-		}
-		contrib := wmax * wmax * norm2 / math.Sqrt(1+wmax*lam*wmax*lam)
-		if contrib >= opts.ResiduePruneTol*scale {
-			lambda = append(lambda, lam)
+	for p, s := range poleScores(model.Lambda, model.R, opts.FMax) {
+		if s >= opts.ResiduePruneTol*scale {
 			rows = append(rows, p)
-		} else {
-			stats.PolesPruned++
 		}
 	}
 	if len(rows) == len(model.Lambda) {
 		return model
 	}
-	rk := dense.New(len(rows), m)
-	for c, p := range rows {
-		for j := 0; j < m; j++ {
-			rk.Set(c, j, model.R.At(p, j))
-		}
-	}
+	stats.PolesPruned += len(model.Lambda) - len(rows)
 	stats.PolesFound = len(rows)
+	lambda, rk := selectRows(model.Lambda, model.R, rows)
 	return &ReducedModel{M: m, Lambda: lambda, A: model.A, B: model.B, R: rk}
 }
 
@@ -983,11 +1011,24 @@ func (t *Transformed) denseEigAbove(ctx context.Context, cutoff float64) ([]floa
 		return nil, nil, fmt.Errorf("core: dense eigenpath canceled: %w", err)
 	}
 	t.stats.MatVecs += n
-	vals, vecs, err := dense.SymEig(eMat, true)
+	vals, vecs, err := symEigAbove(eMat, cutoff)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: dense eigensolve of E′: %w", err)
 	}
-	// Select eigenvalues >= cutoff, descending.
+	return vals, vecs, nil
+}
+
+// symEigAbove solves the dense symmetric eigenproblem of a and keeps the
+// eigenvalues ≥ cutoff, descending, with their eigenvectors as the
+// columns of the returned matrix. E′ (denseEigAbove) and the projected
+// multi-point pencil Ê share it, so both keep the same poles for the
+// same spectrum.
+func symEigAbove(a *dense.Mat, cutoff float64) ([]float64, *dense.Mat, error) {
+	n := a.R
+	vals, vecs, err := dense.SymEig(a, true)
+	if err != nil {
+		return nil, nil, err
+	}
 	var keep []int
 	for i := n - 1; i >= 0; i-- {
 		if vals[i] >= cutoff {

@@ -127,19 +127,8 @@ func FindAboveCtx(ctx context.Context, op Operator, opts Options) (*Result, erro
 	if n == 0 {
 		return &Result{Vectors: dense.New(0, 0)}, nil
 	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 || maxIter > n {
-		maxIter = n
-	}
-	convTol := opts.ConvTol
-	if convTol <= 0 {
-		convTol = 1e-8
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
+	opts = opts.withDefaults(n)
+	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Lanczos vector history (columns). Needed to form Ritz vectors; the
 	// low-memory two-pass variant lives in twopass.go.
@@ -161,7 +150,28 @@ func FindAboveCtx(ctx context.Context, op Operator, opts Options) (*Result, erro
 
 	stableFor := 0
 
-	for j := 0; j < maxIter; j++ {
+	// exhausted ends a run whose Krylov space is the whole space. With
+	// full reorthogonalization T's eigensystem is (backward stably) the
+	// operator's; with selective or no orthogonalization the small end of
+	// a widely spread spectrum may be corrupted, so the run is redone in
+	// Full mode — exhaustion implies n is commensurate with the number of
+	// wanted eigenpairs, where the O(n²) vectors are affordable.
+	exhausted := func() (*Result, error) {
+		if opts.Mode != Full {
+			full := opts
+			full.Mode = Full
+			fres, err := FindAboveCtx(ctx, op, full)
+			if err != nil {
+				return nil, err
+			}
+			fres.MatVecs += res.MatVecs
+			fres.Reorths += res.Reorths
+			return fres, nil
+		}
+		return finish(op, w, alpha, beta[:len(beta)-1], opts.Cutoff, opts.ConvTol, res)
+	}
+
+	for j := 0; j < opts.MaxIter; j++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("lanczos: canceled at iteration %d: %w", j, err)
 		}
@@ -223,21 +233,7 @@ func FindAboveCtx(ctx context.Context, op Operator, opts Options) (*Result, erro
 			}
 			nb := norm2(nv)
 			if nb < 1e-12 {
-				// Whole space exhausted; in Selective/None mode redo with
-				// full orthogonalization (see the exhaustion comment at
-				// the end of the iteration loop).
-				if opts.Mode != Full {
-					full := opts
-					full.Mode = Full
-					fres, err := FindAboveCtx(ctx, op, full)
-					if err != nil {
-						return nil, err
-					}
-					fres.MatVecs += res.MatVecs
-					fres.Reorths += res.Reorths
-					return fres, nil
-				}
-				return finish(op, w, alpha, beta[:len(beta)-1], opts.Cutoff, convTol, res)
+				return exhausted()
 			}
 			scal(nv, 1/nb)
 			prev = nil
@@ -259,7 +255,7 @@ func FindAboveCtx(ctx context.Context, op Operator, opts Options) (*Result, erro
 
 		// Convergence check. Cheap early on, throttled once j grows.
 		checkEvery := 1 + j/20
-		if (j+1)%checkEvery != 0 && j+1 < maxIter {
+		if (j+1)%checkEvery != 0 && j+1 < opts.MaxIter {
 			continue
 		}
 		vals, z, err := dense.TridiagEig(alpha, beta[:len(beta)-1])
@@ -272,7 +268,7 @@ func FindAboveCtx(ctx context.Context, op Operator, opts Options) (*Result, erro
 		newConverged := false
 		for i := k - 1; i >= 0; i-- {
 			bound := b * math.Abs(z.At(k-1, i))
-			conv := bound <= convTol*scaleT
+			conv := bound <= opts.ConvTol*scaleT
 			key := keyOf(vals[i], scaleT)
 			if conv && vals[i] >= opts.Cutoff && !convergedAt[key] && !spuriousAt[key] {
 				// Certify the candidate with an explicit residual before
@@ -320,31 +316,14 @@ func FindAboveCtx(ctx context.Context, op Operator, opts Options) (*Result, erro
 		if allAboveConverged && !anyUnconvergedCouldPass {
 			stableFor += checkEvery
 			if stableFor >= tailIters {
-				return finish(op, w, alpha, beta[:len(beta)-1], opts.Cutoff, convTol, res)
+				return finish(op, w, alpha, beta[:len(beta)-1], opts.Cutoff, opts.ConvTol, res)
 			}
 		} else {
 			stableFor = 0
 		}
 	}
 	if res.Iterations >= n {
-		// The Krylov space is the whole space. With full
-		// reorthogonalization T's eigensystem is (backward stably) the
-		// operator's; with selective orthogonalization the small end of a
-		// widely spread spectrum may be corrupted, so redo the run in Full
-		// mode — exhaustion implies n is commensurate with the number of
-		// wanted eigenpairs, where the O(n²) vectors are affordable.
-		if opts.Mode != Full {
-			full := opts
-			full.Mode = Full
-			fres, err := FindAboveCtx(ctx, op, full)
-			if err != nil {
-				return nil, err
-			}
-			fres.MatVecs += res.MatVecs
-			fres.Reorths += res.Reorths
-			return fres, nil
-		}
-		return finish(op, w, alpha, beta[:len(beta)-1], opts.Cutoff, convTol, res)
+		return exhausted()
 	}
 	return nil, fmt.Errorf("%w after %d iterations (cutoff %g)", ErrNoConvergence, res.Iterations, opts.Cutoff)
 }
@@ -357,37 +336,63 @@ func keyOf(v, scale float64) int {
 	return int(math.Round(v / (1e-9 * scale)))
 }
 
+// withDefaults fills the zero-value options for an operator of
+// dimension n: MaxIter n (also capping a larger request), ConvTol 1e-8
+// and Seed 1.
+func (o Options) withDefaults(n int) Options {
+	if o.MaxIter <= 0 || o.MaxIter > n {
+		o.MaxIter = n
+	}
+	if o.ConvTol <= 0 {
+		o.ConvTol = 1e-8
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	return o
+}
+
 // finish assembles the final result from the tridiagonal eigensystem:
-// Ritz values above the cutoff, Ritz vectors U = W Z, orthonormalized.
-// Candidates whose assembled vector is a ghost (direction already kept) or
-// whose residual ‖A u − θ u‖ is far from converged are dropped, which
-// filters the spurious duplicates finite-precision Lanczos produces.
+// the Ritz values above the cutoff, descending, and their Ritz vectors
+// U = W Z, certified by certify.
 func finish(op Operator, w [][]float64, alpha, betaSub []float64, cutoff, convTol float64, res *Result) (*Result, error) {
 	vals, z, err := dense.TridiagEig(alpha, betaSub)
 	if err != nil {
 		return nil, err
 	}
-	n := op.Dim()
-	k := len(vals)
-	scaleT := tScale(alpha, betaSub)
-	residTol := math.Sqrt(convTol) * scaleT
-	type pair struct {
-		val float64
-		col int
-	}
-	var keep []pair
-	for i := k - 1; i >= 0; i-- { // descending
+	var keepVals []float64
+	var keepCols []int
+	for i := len(vals) - 1; i >= 0; i-- { // descending
 		if vals[i] >= cutoff {
-			keep = append(keep, pair{vals[i], i})
+			keepVals = append(keepVals, vals[i])
+			keepCols = append(keepCols, i)
 		}
 	}
+	residTol := math.Sqrt(convTol) * tScale(alpha, betaSub)
+	kept := certify(op, keepVals, func(c int) []float64 { return combine(w, z, keepCols[c]) }, residTol, res, "LASO Ritz basis")
+	if pv := len(w) + kept + 3; pv > res.PeakVectors {
+		res.PeakVectors = pv
+	}
+	return res, nil
+}
+
+// certify is the Ritz certification both solvers end with. Candidate i
+// (value vals[i], vector vec(i), taken in order) is orthonormalized
+// against the vectors already kept and dropped as a ghost — a spurious
+// duplicate whose direction is already captured — when little of it is
+// left. It is then kept only if its residual ‖Au − θu‖ is within
+// residTol and, for θ > 0, within 0.5·θ: spurious values from
+// orthogonality loss sit far from the true spectrum and show residuals
+// of order θ itself, while genuine converged pairs resolve much more
+// finely. certify sets res.Values and res.Vectors (name labels the
+// basis in the orthonormality check) and returns how many pairs it kept.
+func certify(op Operator, vals []float64, vec func(i int) []float64, residTol float64, res *Result, name string) int {
+	n := op.Dim()
 	var outVals []float64
 	var cols [][]float64
 	au := make([]float64, n)
-	for _, p := range keep {
-		u := combine(w, z, p.col)
-		// Orthonormalize against the already kept vectors; drop ghosts
-		// (spurious duplicates) whose direction is already captured.
+	for i, val := range vals {
+		u := vec(i)
 		orthAgainst(u, cols)
 		nb := norm2(u)
 		if nb < 1e-6 {
@@ -397,22 +402,15 @@ func finish(op Operator, w [][]float64, alpha, betaSub []float64, cutoff, convTo
 		op.Apply(au, u)
 		res.MatVecs++
 		r2 := 0.0
-		for i := range au {
-			d := au[i] - p.val*u[i]
+		for q := range au {
+			d := au[q] - val*u[q]
 			r2 += d * d
 		}
-		r := math.Sqrt(r2)
-		if r > residTol {
-			continue
-		}
-		// Spurious values from orthogonality loss sit far from the true
-		// spectrum and show residuals of order θ itself; genuine
-		// converged pairs resolve much more finely.
-		if p.val > 0 && r > 0.5*p.val {
+		if r := math.Sqrt(r2); r > residTol || (val > 0 && r > 0.5*val) {
 			continue
 		}
 		cols = append(cols, u)
-		outVals = append(outVals, p.val)
+		outVals = append(outVals, val)
 	}
 	vecs := dense.New(n, len(cols))
 	for j, c := range cols {
@@ -422,13 +420,10 @@ func finish(op Operator, w [][]float64, alpha, betaSub []float64, cutoff, convTo
 	}
 	res.Values = outVals
 	res.Vectors = vecs
-	if pv := len(w) + len(cols) + 3; pv > res.PeakVectors {
-		res.PeakVectors = pv
-	}
 	if check.Enabled {
-		check.Orthonormal("LASO Ritz basis", res.Vectors, check.OrthTol)
+		check.Orthonormal(name, res.Vectors, check.OrthTol)
 	}
-	return res, nil
+	return len(cols)
 }
 
 // combine forms W z_col, the Ritz vector for T-eigenvector column col.

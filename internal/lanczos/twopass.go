@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/check"
 	"repro/internal/dense"
 	"repro/internal/resilience/inject"
 )
@@ -36,24 +35,13 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 	if n == 0 {
 		return &Result{Vectors: dense.New(0, 0)}, nil
 	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 || maxIter > n {
-		maxIter = n
-	}
-	convTol := opts.ConvTol
-	if convTol <= 0 {
-		convTol = 1e-8
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
+	opts = opts.withDefaults(n)
 
 	res := &Result{PeakVectors: 3}
 
 	// Pass 1: recursion scalars only.
 	var alpha, beta []float64
-	cur := randUnit(rand.New(rand.NewSource(seed)), n)
+	cur := randUnit(rand.New(rand.NewSource(opts.Seed)), n)
 	prev := make([]float64, n)
 	havePrev := false
 	betaPrev := 0.0
@@ -61,7 +49,7 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 	stableFor := 0
 	var keptVals []float64
 	iters := 0
-	for j := 0; j < maxIter; j++ {
+	for j := 0; j < opts.MaxIter; j++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("lanczos: two-pass canceled at iteration %d: %w", j, err)
 		}
@@ -95,7 +83,7 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 		beta = append(beta, b)
 
 		checkEvery := 1 + j/20
-		if (j+1)%checkEvery != 0 && j+1 < maxIter {
+		if (j+1)%checkEvery != 0 && j+1 < opts.MaxIter {
 			continue
 		}
 		vals, z, err := dense.TridiagEig(alpha, beta[:len(beta)-1])
@@ -108,7 +96,7 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 		blocked := false
 		for i := 0; i < k; i++ {
 			bound := b * math.Abs(z.At(k-1, i))
-			if bound <= convTol*scaleT {
+			if bound <= opts.ConvTol*scaleT {
 				if vals[i] >= opts.Cutoff {
 					conv = append(conv, vals[i])
 				}
@@ -131,7 +119,7 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 			if !ghost {
 				for ii := i + 1; ii < k; ii++ {
 					bii := b * math.Abs(z.At(k-1, ii))
-					if bii <= convTol*scaleT && math.Abs(vals[i]-vals[ii]) <= clusterTol {
+					if bii <= opts.ConvTol*scaleT && math.Abs(vals[i]-vals[ii]) <= clusterTol {
 						ghost = true
 						break
 					}
@@ -163,7 +151,7 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 	k := len(vals)
 	scaleT := tScale(alpha, beta)
 	clusterTol := 1e-7 * scaleT
-	// Recompute kept values from the final T (handles the maxIter exit).
+	// Recompute kept values from the final T (handles the MaxIter exit).
 	var conv []float64
 	lastBeta := 0.0
 	if len(beta) > 0 {
@@ -171,7 +159,7 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 	}
 	for i := 0; i < k; i++ {
 		bound := lastBeta * math.Abs(z.At(k-1, i))
-		if vals[i] >= opts.Cutoff && bound <= convTol*scaleT {
+		if vals[i] >= opts.Cutoff && bound <= opts.ConvTol*scaleT {
 			conv = append(conv, vals[i])
 		}
 	}
@@ -193,7 +181,7 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 	// Pass 2: replay the recursion, accumulating U(:,j) += z[step][col_j] * w_step.
 	u := dense.New(n, len(cols))
 	res.PeakVectors = 3 + len(cols)
-	cur = randUnit(rand.New(rand.NewSource(seed)), n)
+	cur = randUnit(rand.New(rand.NewSource(opts.Seed)), n)
 	havePrev = false
 	betaPrev = 0
 	for step := 0; step < len(alpha); step++ {
@@ -229,55 +217,20 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 		havePrev = true
 		betaPrev = b
 	}
-	// Orthonormalize the representatives (ghost directions collapse) and
-	// drop spurious candidates by an explicit residual check — the
-	// post-processing role the Cullum–Willoughby test plays in the paper's
-	// reference [12].
-	residTol := math.Sqrt(convTol) * scaleT
-	var outVals []float64
-	var outCols [][]float64
-	auResid := make([]float64, n)
-	for j := range cols {
+	// Certify the representatives: ghost directions collapse and
+	// spurious candidates fail the explicit residual check — the
+	// post-processing role the Cullum–Willoughby test plays in the
+	// paper's reference [12].
+	residTol := math.Sqrt(opts.ConvTol) * scaleT
+	kept := certify(op, keptVals, func(j int) []float64 {
 		v := make([]float64, n)
 		for i := 0; i < n; i++ {
 			v[i] = u.At(i, j)
 		}
-		orthAgainst(v, outCols)
-		nb := norm2(v)
-		if nb < 1e-6 {
-			continue
-		}
-		scal(v, 1/nb)
-		op.Apply(auResid, v)
-		res.MatVecs++
-		r2 := 0.0
-		for i := range auResid {
-			d := auResid[i] - keptVals[j]*v[i]
-			r2 += d * d
-		}
-		r := math.Sqrt(r2)
-		if r > residTol {
-			continue
-		}
-		if keptVals[j] > 0 && r > 0.5*keptVals[j] {
-			continue // spurious: residual of order θ itself
-		}
-		outCols = append(outCols, v)
-		outVals = append(outVals, keptVals[j])
-	}
-	vecs := dense.New(n, len(outCols))
-	for j, c := range outCols {
-		for i := 0; i < n; i++ {
-			vecs.Set(i, j, c[i])
-		}
-	}
-	res.Values = outVals
-	res.Vectors = vecs
-	if len(outVals) == 0 && len(keptVals) > 0 {
+		return v
+	}, residTol, res, "two-pass Ritz basis")
+	if kept == 0 && len(keptVals) > 0 {
 		return nil, fmt.Errorf("%w: two-pass vector accumulation degenerated", ErrNoConvergence)
-	}
-	if check.Enabled {
-		check.Orthonormal("two-pass Ritz basis", res.Vectors, check.OrthTol)
 	}
 	return res, nil
 }
