@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -208,13 +207,13 @@ func BenchmarkAblationOrdering(b *testing.B) { benchExperiment(b, "ordering") }
 func BenchmarkYSweepParallel(b *testing.B) {
 	sys := meshSystem(b)
 	freqs := sim.LogSpace(10e6, 10e9, 81)
-	if _, err := sys.YSweep(freqs[:2], 1); err != nil { // warm symbolic cache
+	if _, err := sys.YSweep(freqs[:2]); err != nil { // warm symbolic cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.YSweep(freqs, runtime.GOMAXPROCS(0)); err != nil {
+		if _, err := sys.YSweep(freqs); err != nil {
 			b.Fatal(err)
 		}
 	}

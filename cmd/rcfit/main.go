@@ -110,8 +110,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		if *verbose {
 			kernel := "up-looking"
 			if red.Stats.Supernodes > 0 {
-				kernel = fmt.Sprintf("supernodal (%d panels, %d amalgamation zeros)",
-					red.Stats.Supernodes, red.Stats.SuperFill)
+				kernel = fmt.Sprintf("supernodal (%d panels)", red.Stats.Supernodes)
 			}
 			fmt.Fprintf(stderr, "rcfit: cholesky %s: %.4g GFLOP, %d solves, %d matvecs, peak factor %d B (%d B pooled scratch)\n",
 				kernel, red.Stats.FactorFlops/1e9, red.Stats.Solves, red.Stats.MatVecs,

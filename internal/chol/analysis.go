@@ -13,7 +13,7 @@ const supernodalMinOrder = 512
 
 // Analysis is the symbolic state shared by every numeric factorization
 // of one ordered pattern: the pattern, its symbolic factorization, and —
-// at supernodal order — the amalgamated supernodal structure. Analyze is
+// at supernodal order — the supernodal structure. Analyze is
 // the one place the factorization kernel is chosen. Analyze once, then
 // Factorize (real LLᵀ) or FactorizeComplex (complex LDLᵀ of D + sE) per
 // value set: the Cholesky of Transform 1 and each rung of its recovery
@@ -32,13 +32,13 @@ type Analysis struct {
 // Analyze performs the symbolic analysis for repeated factorizations of
 // the given (already ordered) full symmetric pattern and its symbolic
 // factorization. Orders at or above supernodalMinOrder additionally get
-// the supernodal amalgamation, so every subsequent factorization runs
+// the supernode partition, so every subsequent factorization runs
 // the blocked DAG-scheduled kernel; smaller orders run the scalar
 // up-looking kernel.
 func Analyze(pat *sparse.CSR, sym *order.Symbolic) (*Analysis, error) {
 	an := &Analysis{pat: pat, sym: sym}
 	if pat.Rows >= supernodalMinOrder {
-		ss, err := analyzeSuper(pat, sym, order.SupernodeOptions{})
+		ss, err := analyzeSuper(pat, sym, order.DefaultMaxWidth)
 		if err != nil {
 			return nil, err
 		}

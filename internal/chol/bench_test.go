@@ -62,7 +62,7 @@ func BenchmarkKernelThreshold(b *testing.B) {
 	} {
 		sym := order.Analyze(m.a, order.MinimumDegree)
 		ap := m.a.PermuteSym(sym.Perm)
-		ss, err := analyzeSuper(ap, sym, order.SupernodeOptions{})
+		ss, err := analyzeSuper(ap, sym, order.DefaultMaxWidth)
 		if err != nil {
 			b.Fatal(err)
 		}

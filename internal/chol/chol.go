@@ -160,8 +160,8 @@ func (f *Factor) Solve(b []float64) {
 }
 
 // NNZ returns the number of stored factor entries the solves touch: the
-// structural nonzeros of L for the up-looking kernel, the trapezoid
-// entries (structural plus amalgamation zeros) for the supernodal one.
+// structural nonzeros of L (as compressed columns for the up-looking
+// kernel, as panel trapezoids for the supernodal one).
 func (f *Factor) NNZ() int {
 	if f.super != nil {
 		return f.super.ss.trapNNZ
@@ -174,15 +174,6 @@ func (f *Factor) NNZ() int {
 func (f *Factor) Supernodes() int {
 	if f.super != nil {
 		return f.super.ss.sn.NSuper()
-	}
-	return 0
-}
-
-// AmalgamatedFill returns the count of explicitly stored zeros the
-// relaxed supernode amalgamation introduced (0 for a simplicial factor).
-func (f *Factor) AmalgamatedFill() int {
-	if f.super != nil {
-		return f.super.ss.sn.Fill
 	}
 	return 0
 }

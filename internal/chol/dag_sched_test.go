@@ -18,7 +18,7 @@ func analyzeMeshSuper(t *testing.T, nx, ny int) (*superSymbolic, *sparse.CSR) {
 	a := meshSPD(nx, ny)
 	sym := order.Analyze(a, order.MinimumDegree)
 	ap := a.PermuteSym(sym.Perm)
-	ss, err := analyzeSuper(ap, sym, order.SupernodeOptions{})
+	ss, err := analyzeSuper(ap, sym, order.DefaultMaxWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDAGScheduleErrorDeterministic(t *testing.T) {
 	}
 	sym := order.Analyze(a, order.MinimumDegree)
 	ap := a.PermuteSym(sym.Perm)
-	ss, err := analyzeSuper(ap, sym, order.SupernodeOptions{})
+	ss, err := analyzeSuper(ap, sym, order.DefaultMaxWidth)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestInjectedDAGTaskFailureDrainsDeterministically(t *testing.T) {
 	a := meshSPD(24, 24)
 	sym := order.Analyze(a, order.MinimumDegree)
 	ap := a.PermuteSym(sym.Perm)
-	ss, err := analyzeSuper(ap, sym, order.SupernodeOptions{})
+	ss, err := analyzeSuper(ap, sym, order.DefaultMaxWidth)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Supernodal blocked Cholesky: the BLAS-3 variant of the factorization
 // kernels. The columns of L are partitioned into supernodes (contiguous
-// panels whose structures nest, found by order.FindSupernodes; Analyze
-// builds the fundamental partition, without relaxed amalgamation); each
+// panels whose structures nest exactly: the fundamental partition found
+// by order.FindSupernodes); each
 // panel is stored as one dense column-major trapezoid and factored by a
 // dense right-looking kernel, and the sparse update of a panel by its
 // descendants becomes a dense rank-k product routed through precomputed
@@ -95,8 +95,8 @@ type superSymbolic struct {
 	// panel may fire the moment its last updater completes instead of
 	// barriering on a whole level.
 	dag *par.DAG
-	// trapNNZ counts the trapezoid entries (the "logical" factor
-	// nonzeros, structural plus amalgamation zeros); maxRows/maxWidth
+	// trapNNZ counts the trapezoid entries (the structural factor
+	// nonzeros: fundamental panels store no zeros); maxRows/maxWidth
 	// bound the per-worker dense scratch; edgeInts counts the int32
 	// storage of the rel and scat lists for the memory accounting.
 	trapNNZ           int
@@ -106,19 +106,18 @@ type superSymbolic struct {
 }
 
 // analyzeSuper builds the supernodal symbolic structure for the given
-// full symmetric pattern and its symbolic analysis. Analyze passes a
-// zero SupernodeOptions: the default panel width and a zero fill
-// budget, so production factors use the fundamental partition and store
-// no amalgamation zeros; tests force other widths and budgets. Numeric
+// full symmetric pattern and its symbolic analysis, with panels at most
+// maxWidth columns wide. Analyze passes order.DefaultMaxWidth; tests
+// narrow it to force panel shapes. Numeric
 // factorizations against the returned structure must present a matrix
 // with exactly this pattern (the scatter routes are resolved here,
 // once, not per factorization).
-func analyzeSuper(a *sparse.CSR, sym *order.Symbolic, opt order.SupernodeOptions) (*superSymbolic, error) {
+func analyzeSuper(a *sparse.CSR, sym *order.Symbolic, maxWidth int) (*superSymbolic, error) {
 	n := a.Rows
 	if a.Cols != n || sym.N != n {
 		return nil, fmt.Errorf("chol: supernodal dimension mismatch (matrix %dx%d, symbolic %d)", a.Rows, a.Cols, sym.N)
 	}
-	sn := sym.FindSupernodes(opt)
+	sn := sym.FindSupernodes(maxWidth)
 	ns := sn.NSuper()
 	ss := &superSymbolic{sym: sym, sn: sn}
 

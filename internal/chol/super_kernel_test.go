@@ -38,30 +38,23 @@ func TestOracleSupernodalPanelWidths(t *testing.T) {
 	}
 	b := make([]float64, n)
 	ap.MulVec(b, x)
-	for _, opt := range []order.SupernodeOptions{
-		{MaxWidth: 1, RelaxFill: -1}, // every supernode 1×1
-		{MaxWidth: 2},
-		{MaxWidth: 3},
-		{MaxWidth: 5},
-		{MaxWidth: 7, RelaxFill: 0.3},
-		{}, // defaults
-	} {
-		ss, err := analyzeSuper(ap, sym, opt)
+	for _, width := range []int{1, 2, 3, 5, 7, order.DefaultMaxWidth} { // width 1: every supernode 1×1
+		ss, err := analyzeSuper(ap, sym, width)
 		if err != nil {
-			t.Fatalf("opt %+v: %v", opt, err)
+			t.Fatalf("width %d: %v", width, err)
 		}
-		if opt.MaxWidth == 1 && ss.sn.NSuper() != n {
+		if width == 1 && ss.sn.NSuper() != n {
 			t.Fatalf("MaxWidth 1: %d supernodes, want %d singletons", ss.sn.NSuper(), n)
 		}
 		fs, err := ss.factorize(ap, nil)
 		if err != nil {
-			t.Fatalf("opt %+v: %v", opt, err)
+			t.Fatalf("width %d: %v", width, err)
 		}
 		ls := denseL(fs)
 		for i := 0; i < n; i++ {
 			for j := 0; j <= i; j++ {
 				if d := math.Abs(ls[i][j] - lu[i][j]); d > 1e-11*(1+math.Abs(lu[i][j])) {
-					t.Fatalf("opt %+v: L(%d,%d) = %v vs oracle %v", opt, i, j, ls[i][j], lu[i][j])
+					t.Fatalf("width %d: L(%d,%d) = %v vs oracle %v", width, i, j, ls[i][j], lu[i][j])
 				}
 			}
 		}
@@ -69,7 +62,7 @@ func TestOracleSupernodalPanelWidths(t *testing.T) {
 		fs.Solve(got)
 		for i := range got {
 			if math.Abs(got[i]-x[i]) > 1e-8*(1+math.Abs(x[i])) {
-				t.Fatalf("opt %+v: Solve[%d] = %v, want %v", opt, i, got[i], x[i])
+				t.Fatalf("width %d: Solve[%d] = %v, want %v", width, i, got[i], x[i])
 			}
 		}
 	}
@@ -116,27 +109,22 @@ func TestOracleSupernodalComplexTiled(t *testing.T) {
 	if err := fu.Solve(xu); err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []order.SupernodeOptions{
-		{MaxWidth: 1, RelaxFill: -1},
-		{MaxWidth: 2},
-		{MaxWidth: 3},
-		{},
-	} {
-		ss, err := analyzeSuper(pat, sym, opt)
+	for _, width := range []int{1, 2, 3, order.DefaultMaxWidth} {
+		ss, err := analyzeSuper(pat, sym, width)
 		if err != nil {
-			t.Fatalf("opt %+v: %v", opt, err)
+			t.Fatalf("width %d: %v", width, err)
 		}
 		fs, err := ss.factorizeComplex(pat, val, nil)
 		if err != nil {
-			t.Fatalf("opt %+v: %v", opt, err)
+			t.Fatalf("width %d: %v", width, err)
 		}
 		xs := append([]complex128(nil), b...)
 		if err := fs.Solve(xs); err != nil {
-			t.Fatalf("opt %+v: %v", opt, err)
+			t.Fatalf("width %d: %v", width, err)
 		}
 		for i := range xs {
 			if cmplx.Abs(xs[i]-xu[i]) > 1e-8*(1+cmplx.Abs(xu[i])) {
-				t.Fatalf("opt %+v: solve[%d] = %v vs oracle %v", opt, i, xs[i], xu[i])
+				t.Fatalf("width %d: solve[%d] = %v vs oracle %v", width, i, xs[i], xu[i])
 			}
 		}
 	}
@@ -186,7 +174,7 @@ func TestOracleSupernodalDispatchBoundary(t *testing.T) {
 			}
 		} else {
 			var ss *superSymbolic
-			ss, err = analyzeSuper(ap, sym, order.SupernodeOptions{})
+			ss, err = analyzeSuper(ap, sym, order.DefaultMaxWidth)
 			if err == nil {
 				fo, err = ss.factorize(ap, nil)
 			}
@@ -242,7 +230,7 @@ func TestSupernodalComplexDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	n := 160
 	pat, sym, val := complexTestSystem(rng, n, complex(0, 61.8))
-	ss, err := analyzeSuper(pat, sym, order.SupernodeOptions{})
+	ss, err := analyzeSuper(pat, sym, order.DefaultMaxWidth)
 	if err != nil {
 		t.Fatal(err)
 	}

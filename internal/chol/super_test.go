@@ -46,7 +46,7 @@ func meshSPD(nx, ny int) *sparse.CSR {
 // factorizeSupernodal runs the supernodal kernel at any order, the
 // cross-check partner of factorizeUpLooking.
 func factorizeSupernodal(a *sparse.CSR, sym *order.Symbolic) (*Factor, error) {
-	ss, err := analyzeSuper(a, sym, order.SupernodeOptions{})
+	ss, err := analyzeSuper(a, sym, order.DefaultMaxWidth)
 	if err != nil {
 		return nil, err
 	}
@@ -108,9 +108,8 @@ func TestSupernodalMatchesUpLooking(t *testing.T) {
 				t.Fatalf("trial %d %v: strategy dispatch wrong: %d / %d supernodes",
 					trial, m, fs.Supernodes(), fu.Supernodes())
 			}
-			if got, want := fs.NNZ(), fu.NNZ()+fs.AmalgamatedFill(); got != want {
-				t.Fatalf("trial %d %v: trapezoid entries %d != structural %d + fill %d",
-					trial, m, got, fu.NNZ(), fs.AmalgamatedFill())
+			if got, want := fs.NNZ(), fu.NNZ(); got != want {
+				t.Fatalf("trial %d %v: trapezoid entries %d != structural %d", trial, m, got, want)
 			}
 			ls, lu := denseL(fs), denseL(fu)
 			for i := 0; i < n; i++ {
@@ -253,7 +252,7 @@ func TestSupernodalComplexMatchesSimplicial(t *testing.T) {
 			}
 		}
 		val := func(p int) complex128 { return dv[p] }
-		ss, err := analyzeSuper(pat, sym, order.SupernodeOptions{})
+		ss, err := analyzeSuper(pat, sym, order.DefaultMaxWidth)
 		if err != nil {
 			t.Fatalf("trial %d: analyzeSuper: %v", trial, err)
 		}

@@ -42,7 +42,7 @@ type FactorWorkspace struct {
 }
 
 // realPanels returns the packed real panel storage, zeroed: panel slots
-// outside the analyzed pattern (amalgamation and elimination fill) are
+// outside the analyzed pattern (elimination fill) are
 // never written by the scatter phase and must start at zero.
 func (ws *FactorWorkspace) realPanels() []float64 {
 	n := ws.ss.off[ws.ss.sn.NSuper()]

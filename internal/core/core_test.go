@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -520,7 +521,7 @@ func TestResolveDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Options{FMax: 1, Tol: 0.05, DenseThreshold: 96, XCacheBudget: 512 << 20,
-		LanczosConvTol: 1e-8, Seed: 1, ShiftMoments: 1, BasisDropTol: 1e-8}
+		Seed: 1, ShiftMoments: 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Resolve() = %+v, want %+v", got, want)
 	}
@@ -678,22 +679,29 @@ func TestModelStringAndTransimpedance(t *testing.T) {
 	if s := model.String(); s == "" {
 		t.Error("empty String()")
 	}
-	// Transimpedance wrapper agrees with explicit inversion.
-	sv := complex(0, 1.5)
-	z, err := sys.Transimpedance(sv, 0, 1)
+	// Column 1 of Z = Y⁻¹, entry by entry, must solve Y·z = e₁.
+	y, err := sys.Y(complex(0, 1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := sys.Y(sv)
-	if err != nil {
-		t.Fatal(err)
+	z := make([]complex128, y.R)
+	for i := range z {
+		if z[i], err = TransimpedanceOf(y, i, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	z2, err := TransimpedanceOf(y, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(z-z2) > 1e-12*(1+cmplx.Abs(z2)) {
-		t.Fatalf("Transimpedance %v vs %v", z, z2)
+	for i := range z {
+		var acc complex128
+		for k := range z {
+			acc += y.At(i, k) * z[k]
+		}
+		want := complex(0, 0)
+		if i == 1 {
+			want = 1
+		}
+		if cmplx.Abs(acc-want) > 1e-12 {
+			t.Fatalf("(Y·Z)[%d][1] = %v, want %v", i, acc, want)
+		}
 	}
 }
 
@@ -753,39 +761,6 @@ func TestPartitionZeroPorts(t *testing.T) {
 	}
 	if model.M != 0 {
 		t.Fatal("portless model has ports")
-	}
-}
-
-func TestPoleResidues(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(98))
-	sys := randomSystem(rng, 2, 10)
-	model, _, err := Reduce(sys, Options{FMax: keepAllFMax})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model.K() == 0 {
-		t.Skip("no poles in this draw")
-	}
-	prs := model.PoleResidues()
-	if len(prs) != model.K() {
-		t.Fatalf("residue count %d != %d", len(prs), model.K())
-	}
-	// Numeric residue: (s - p) Y(s) evaluated just off the pole.
-	pr := prs[0]
-	eps := 1e-7 * math.Abs(pr.Pole)
-	s := complex(pr.Pole+eps, 0)
-	y := model.Y(s)
-	for i := 0; i < model.M; i++ {
-		for j := 0; j < model.M; j++ {
-			got := real((s - complex(pr.Pole, 0)) * y.At(i, j))
-			want := pr.Residue.At(i, j)
-			// The regular part contributes O(eps); residues of other
-			// poles are far away.
-			if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
-				t.Fatalf("residue(%d,%d) = %v, want %v", i, j, got, want)
-			}
-		}
 	}
 }
 
@@ -895,17 +870,19 @@ func TestCutoffFactorPanics(t *testing.T) {
 }
 
 func TestYSweepMatchesSerial(t *testing.T) {
-	t.Parallel()
 	rng := rand.New(rand.NewSource(100))
 	sys := randomSystem(rng, 3, 30)
 	freqs := []float64{0.01, 0.03, 0.1, 0.3, 1, 3}
-	serial, err := sys.YSweep(freqs, 1)
+	procs := runtime.GOMAXPROCS(1)
+	serial, err := sys.YSweep(freqs)
+	runtime.GOMAXPROCS(4)
+	parallel, perr := sys.YSweep(freqs)
+	runtime.GOMAXPROCS(procs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := sys.YSweep(freqs, 4)
-	if err != nil {
-		t.Fatal(err)
+	if perr != nil {
+		t.Fatal(perr)
 	}
 	for k := range freqs {
 		if d := dense.MaxAbsDiff(serial[k], parallel[k]); d > 0 {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -262,11 +263,14 @@ func TestSeededFaultSweepIsTypedAndReproducible(t *testing.T) {
 		} else {
 			out += "; Y ok"
 		}
-		// Serial frequency sweep (workers=1 keeps rule consumption order
-		// deterministic): visits par.item per point, firing the armed
-		// cancellation when its index is in range.
+		// Serial frequency sweep (one pool worker keeps rule consumption
+		// order deterministic): visits par.item per point, firing the
+		// armed cancellation when its index is in range.
 		freqs := []float64{0.01, 0.03, 0.1, 0.3, 1}
-		if _, serr := sys.YSweepCtx(ctx, freqs, 1); serr != nil {
+		procs := runtime.GOMAXPROCS(1)
+		_, serr := sys.YSweepCtx(ctx, freqs)
+		runtime.GOMAXPROCS(procs)
+		if serr != nil {
 			out += "; sweep " + classify(seed, serr)
 		} else {
 			out += "; sweep ok"

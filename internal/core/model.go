@@ -143,37 +143,6 @@ func (r *ReducedModel) String() string {
 	return fmt.Sprintf("ReducedModel{ports: %d, poles: %d}", r.M, r.K())
 }
 
-// PoleResidue is one term of the partial-fraction form of the reduced
-// admittance: near s = Pole, Y(s) ≈ Residue/(s − Pole) + regular part.
-type PoleResidue struct {
-	// Pole is the (real, negative) pole location in rad/s.
-	Pole float64
-	// Residue is the rank-one m×m residue matrix −rᵀr/λ³.
-	Residue *dense.Mat
-}
-
-// PoleResidues returns the partial-fraction residues of the reduced
-// model: for the term −s²rᵢᵀrᵢ/(1+sλᵢ) = −s²rᵢᵀrᵢ/(λᵢ(s+1/λᵢ)), the
-// residue at s = −1/λᵢ is −rᵢᵀrᵢ/λᵢ³ (admittance residues of RC
-// networks are negative; the corresponding impedance residues are
-// positive).
-func (r *ReducedModel) PoleResidues() []PoleResidue {
-	out := make([]PoleResidue, 0, r.K())
-	for p, lam := range r.Lambda {
-		//lint:ignore defersmell each residue matrix is a returned value, not loop-local scratch
-		res := dense.New(r.M, r.M)
-		f := -1 / (lam * lam * lam)
-		for i := 0; i < r.M; i++ {
-			ri := r.R.At(p, i)
-			for j := 0; j < r.M; j++ {
-				res.Set(i, j, f*ri*r.R.At(p, j))
-			}
-		}
-		out = append(out, PoleResidue{Pole: -1 / lam, Residue: res})
-	}
-	return out
-}
-
 // SParams converts a multiport admittance matrix to scattering parameters
 // with real reference impedance z0 at every port:
 //

@@ -68,39 +68,6 @@ func CanonicalShifts(shifts []float64) ([]float64, error) {
 	return slices.Compact(out), nil
 }
 
-// alignUnionPositions maps every stored position of the union pattern to
-// the corresponding stored position in a and b (-1 where the pattern has
-// no entry) — the value-alignment idiom of the exact admittance path,
-// reused here for the shifted factorizations D + s₀E.
-func alignUnionPositions(pat, a, b *sparse.CSR) (aPos, bPos []int) {
-	aPos = make([]int, pat.NNZ())
-	bPos = make([]int, pat.NNZ())
-	for p := range aPos {
-		aPos[p] = -1
-		bPos[p] = -1
-	}
-	for i := 0; i < pat.Rows; i++ {
-		pa := a.RowPtr[i]
-		pb := b.RowPtr[i]
-		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-			j := pat.Col[p]
-			for pa < a.RowPtr[i+1] && a.Col[pa] < j {
-				pa++
-			}
-			if pa < a.RowPtr[i+1] && a.Col[pa] == j {
-				aPos[p] = pa
-			}
-			for pb < b.RowPtr[i+1] && b.Col[pb] < j {
-				pb++
-			}
-			if pb < b.RowPtr[i+1] && b.Col[pb] == j {
-				bPos[p] = pb
-			}
-		}
-	}
-	return aPos, bPos
-}
-
 // mulVecComplexReal computes dst = a·src for a real sparse matrix and a
 // complex vector.
 func mulVecComplexReal(a *sparse.CSR, dst, src []complex128) {
@@ -114,29 +81,24 @@ func mulVecComplexReal(a *sparse.CSR, dst, src []complex128) {
 	}
 }
 
-// shiftedBasisState is the shared symbolic state of the per-shift
-// factorizations: the union pattern of the permuted D and E, its
-// analysis (one symbolic shared by every shift, as in YSweep), and the
-// value alignment of both operands against the union storage.
+// shiftedBasisState is the shared state of the per-shift
+// factorizations: the pencil D + sE (one symbolic analysis shared by
+// every shift, as in YSweep) and the factorization workspace the shifts
+// reuse in turn.
 type shiftedBasisState struct {
-	an         *chol.Analysis
-	ws         *chol.FactorWorkspace
-	dPos, ePos []int
+	pc *pencil
+	ws *chol.FactorWorkspace
 }
 
-// newShiftedBasisState analyzes the D/E union pattern once for all
-// shifts. The Transform-1 frame is kept (order.Natural on the already
-// permuted pattern is the identity), so candidate columns live in the
-// same coordinates as dp, ep and the connection block.
+// newShiftedBasisState analyzes the pencil once for all shifts. The
+// Transform-1 frame is kept (order.Natural), so candidate columns live
+// in the same coordinates as dp, ep and the connection block.
 func (t *Transformed) newShiftedBasisState() (*shiftedBasisState, error) {
-	pat := sparse.PatternUnion(t.dp, t.ep)
-	sym := order.Analyze(pat, order.Natural)
-	an, err := chol.Analyze(pat, sym)
+	pc, err := newPencil(t.dp, t.ep, order.Natural)
 	if err != nil {
 		return nil, err
 	}
-	dPos, ePos := alignUnionPositions(pat, t.dp, t.ep)
-	return &shiftedBasisState{an: an, ws: an.NewWorkspace(), dPos: dPos, ePos: ePos}, nil
+	return &shiftedBasisState{pc: pc, ws: pc.an.NewWorkspace()}, nil
 }
 
 // shiftCandidates generates the moment candidates of expansion point
@@ -177,20 +139,9 @@ func (t *Transformed) shiftCandidates(sb *shiftedBasisState, k, moments int, f f
 		}
 		return cands, ports, nil
 	}
-	sv := complex(0, 2*math.Pi*f)
-	val := func(p int) complex128 {
-		var v complex128
-		if q := sb.dPos[p]; q >= 0 {
-			v += complex(t.dp.Val[q], 0)
-		}
-		if q := sb.ePos[p]; q >= 0 {
-			v += sv * complex(t.ep.Val[q], 0)
-		}
-		return v
-	}
 	//lint:ignore nondet stage wall-time accounting only, never feeds numeric results
 	t0 := time.Now()
-	cf, err := sb.an.FactorizeComplex(val, sb.ws)
+	cf, err := sb.pc.factorize(complex(0, 2*math.Pi*f), sb.ws)
 	//lint:ignore nondet stage wall-time accounting only, never feeds numeric results
 	t.stats.Stage.ShiftFactorNs += time.Since(t0).Nanoseconds()
 	if err != nil {
@@ -239,14 +190,20 @@ func (t *Transformed) shiftCandidates(sb *shiftedBasisState, k, moments int, f f
 	return cands, ports, nil
 }
 
+// basisDropTol is the relative drop tolerance of the basis union's
+// Gram–Schmidt: a candidate whose D-norm after orthogonalization falls
+// below this fraction of its original D-norm is discarded as
+// numerically dependent.
+const basisDropTol = 1e-8
+
 // mgsD thins candidate columns into a D-orthonormal basis by modified
 // Gram–Schmidt in the D inner product ⟨u,v⟩ = uᵀDv, dropping a column
-// when orthogonalization leaves less than droptol of its original
+// when orthogonalization leaves less than basisDropTol of its original
 // D-norm. The loop is serial over the fixed candidate order, so the kept
 // basis — and everything projected through it — is bit-identical at
 // every GOMAXPROCS and invariant under shift listing order. Candidate
 // slices are normalized in place and aliased by the returned basis.
-func (t *Transformed) mgsD(cands [][]float64, droptol float64) [][]float64 {
+func (t *Transformed) mgsD(cands [][]float64) [][]float64 {
 	n := t.N
 	var basis, wcache [][]float64
 	w := make([]float64, n)
@@ -285,7 +242,7 @@ func (t *Transformed) mgsD(cands [][]float64, droptol float64) [][]float64 {
 			}
 			nrm = math.Sqrt(nrm2)
 		}
-		if nrm <= droptol*norm0 {
+		if nrm <= basisDropTol*norm0 {
 			continue
 		}
 		inv := 1 / nrm
@@ -405,11 +362,11 @@ func (t *Transformed) multiPointPoles(ctx context.Context, opts Options) ([]floa
 					sub = append(sub, c)
 				}
 			}
-			merged = append(merged, t.mgsD(sub, opts.BasisDropTol)...)
+			merged = append(merged, t.mgsD(sub)...)
 		}
-		basis = t.mgsD(merged, opts.BasisDropTol)
+		basis = t.mgsD(merged)
 	} else {
-		basis = t.mgsD(cands, opts.BasisDropTol)
+		basis = t.mgsD(cands)
 	}
 	//lint:ignore nondet stage wall-time accounting only, never feeds numeric results
 	stats.Stage.BasisUnionNs += time.Since(u0).Nanoseconds()

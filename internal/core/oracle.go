@@ -94,45 +94,6 @@ func cFrob(a *dense.CMat) float64 {
 	return math.Sqrt(s)
 }
 
-// OracleRelErr measures ‖Y_model(s) − Y_exact(s)‖_F / ‖Y_exact(s)‖_F at
-// one real frequency (Hz) against the dense oracle.
-func OracleRelErr(sys *System, model *ReducedModel, freq float64) (float64, error) {
-	sv := complex(0, 2*math.Pi*freq)
-	exact, err := OracleY(sys, sv)
-	if err != nil {
-		return 0, err
-	}
-	got := model.Y(sv)
-	diff := dense.NewC(exact.R, exact.C)
-	for i := 0; i < exact.R; i++ {
-		for j := 0; j < exact.C; j++ {
-			diff.Set(i, j, got.At(i, j)-exact.At(i, j))
-		}
-	}
-	denom := cFrob(exact)
-	if denom == 0 {
-		return cFrob(diff), nil
-	}
-	return cFrob(diff) / denom, nil
-}
-
-// OracleMaxRelErr is the maximum OracleRelErr over a frequency sweep —
-// the wide-band accuracy figure the oracle tests and the experiments
-// tables report.
-func OracleMaxRelErr(sys *System, model *ReducedModel, freqs []float64) (float64, error) {
-	worst := 0.0
-	for _, f := range freqs {
-		e, err := OracleRelErr(sys, model, f)
-		if err != nil {
-			return 0, err
-		}
-		if e > worst {
-			worst = e
-		}
-	}
-	return worst, nil
-}
-
 // OracleMaxRelErrs sweeps freqs once, factoring the dense pencil a
 // single time per frequency, and returns the worst relative error of
 // each model — the cheap way to measure single-point, multi-point and

@@ -137,7 +137,7 @@ func TestYSweepCtxCancel(t *testing.T) {
 	sys := randomSystem(rng, 2, 30)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := sys.YSweepCtx(ctx, []float64{0.01, 0.02, 0.03}, 2)
+	_, err := sys.YSweepCtx(ctx, []float64{0.01, 0.02, 0.03})
 	var se *resilience.StageError
 	if !errors.As(err, &se) || se.Stage != resilience.StageYEval {
 		t.Fatalf("err = %v, want StageError at %s", err, resilience.StageYEval)

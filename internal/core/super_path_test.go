@@ -137,20 +137,20 @@ func TestYSweepSupernodalMatchesSimplicial(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	halves := []*System{randomSystem(r, 3, 280), randomSystem(r, 2, 280)}
 	sys := directSum(halves[0], halves[1])
-	ysSuper, err := sys.YSweep(freqs, 2)
+	ysSuper, err := sys.YSweep(freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sys.yAn.Supernodal() {
+	if !sys.yPen.an.Supernodal() {
 		t.Fatalf("order %d did not take the supernodal kernel", sys.N)
 	}
 	off := 0
 	for h, half := range halves {
-		ysPlain, err := half.YSweep(freqs, 2)
+		ysPlain, err := half.YSweep(freqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if half.yAn.Supernodal() {
+		if half.yPen.an.Supernodal() {
 			t.Fatalf("half %d: order %d took the supernodal kernel", h, half.N)
 		}
 		for k := range freqs {

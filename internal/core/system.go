@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/chol"
 	"repro/internal/sparse"
 )
 
@@ -37,21 +36,14 @@ type System struct {
 	Q, R *sparse.CSR // n×m connection blocks
 	D, E *sparse.CSR // n×n internal blocks
 
-	// Cached exact-evaluation state (symbolic analysis of D+sE),
-	// initialized once; Y evaluations afterwards share it read-only, so
-	// they are safe to run concurrently (see YSweep).
-	yOnce sync.Once
-	yErr  error
-	yDP   *sparse.CSR
-	yEP   *sparse.CSR
-	yQP   *sparse.CSR
-	yRP   *sparse.CSR
-	yDPos []int // position of each union-pattern entry in yDP (-1 if absent)
-	yEPos []int
-	// yAn is the factorization analysis of the union pattern: analyzed
-	// once, then shared by the complex LDLᵀ of every frequency point of
-	// a sweep, so per-point work is purely numeric.
-	yAn *chol.Analysis
+	// Cached exact-evaluation state (the analyzed pencil D + sE and the
+	// connection blocks in its ordering), initialized once; Y
+	// evaluations afterwards share it read-only, so they are safe to run
+	// concurrently (see YSweep).
+	yOnce    sync.Once
+	yErr     error
+	yPen     *pencil
+	yQP, yRP *sparse.CSR // m×n: row i = column i of the permuted Q, R
 }
 
 // ErrBadShape reports inconsistent block dimensions.

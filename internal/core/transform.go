@@ -34,6 +34,10 @@ func (s *Stats) merge(wcs []workCounters) {
 	}
 }
 
+// lanczosConvTol is the Ritz convergence tolerance of the single-point
+// Lanczos eigenanalysis.
+const lanczosConvTol = 1e-8
+
 // Options configures the PACT reduction.
 type Options struct {
 	// FMax is the maximum frequency (Hz) at which the reduced model must
@@ -49,8 +53,6 @@ type Options struct {
 	// LanczosMode selects the reorthogonalization strategy (default
 	// Selective, i.e. LASO as in the paper's RCFIT).
 	LanczosMode lanczos.Mode
-	// LanczosConvTol is the Ritz convergence tolerance (default 1e-8).
-	LanczosConvTol float64
 	// TwoPass uses the memory-minimal two-pass Lanczos instead of storing
 	// the Lanczos basis.
 	TwoPass bool
@@ -85,11 +87,6 @@ type Options struct {
 	// point in multi-point mode (default 1: the zeroth moment of the
 	// internal response at each shift).
 	ShiftMoments int
-	// BasisDropTol is the relative drop tolerance of the basis union's
-	// Gram–Schmidt: a candidate whose D-norm after orthogonalization
-	// falls below this fraction of its original D-norm is discarded as
-	// numerically dependent (default 1e-8).
-	BasisDropTol float64
 	// PortClusters, when > 1, clusters the ports into this many groups by
 	// electrical proximity on the conductance graph (TurboMOR-style) and
 	// thins the multi-point candidate basis per cluster before the global
@@ -122,17 +119,11 @@ func (o Options) Resolve() (Options, error) {
 	if o.XCacheBudget == 0 {
 		o.XCacheBudget = 512 << 20
 	}
-	if o.LanczosConvTol == 0 {
-		o.LanczosConvTol = 1e-8
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	if o.ShiftMoments == 0 {
 		o.ShiftMoments = 1
-	}
-	if o.BasisDropTol == 0 {
-		o.BasisDropTol = 1e-8
 	}
 	switch {
 	case !(o.FMax > 0) || math.IsInf(o.FMax, 1):
@@ -179,7 +170,6 @@ type Stats struct {
 	// the peak is pooled workspace rather than factor storage.
 	ScratchBytes int64   `json:"scratch_bytes"`
 	Supernodes   int     `json:"supernodes"`   // supernodal panels of the D factor (0: up-looking kernel)
-	SuperFill    int     `json:"super_fill"`   // explicit zeros stored by relaxed amalgamation
 	FactorFlops  float64 `json:"factor_flops"` // estimated flop count of the numeric factorization
 	DenseEig     bool    `json:"dense_eig"`    // eigenproblem solved densely (small n)
 	XCached      bool    `json:"x_cached"`
@@ -459,7 +449,6 @@ func Transform1Context(ctx context.Context, sys *System, opts Options) (*Transfo
 	stats.CholeskyBytes = fact.Bytes()
 	stats.ScratchBytes = fact.ScratchBytes()
 	stats.Supernodes = fact.Supernodes()
-	stats.SuperFill = fact.AmalgamatedFill()
 	stats.FactorFlops = fact.FlopEstimate()
 	qpT := qp.Transpose() // m×n, row j = column j of Q (in permuted internal order)
 	rpT := rp.Transpose()
@@ -605,12 +594,12 @@ func Transform1Context(ctx context.Context, sys *System, opts Options) (*Transfo
 	return t, stats, nil
 }
 
-// columnX returns column j of X = D⁻¹Q, from the cache when enabled,
+// columnX returns column j of X = D⁻¹Q: the cached column when the
+// cache is on (Transform 1 fills every slot before any caller can ask),
 // recomputed into buf otherwise. Solve counts go to wc, never to the
-// shared stats, so concurrent callers for distinct j are race-free (the
-// cache slot write is per-j and thus owned by exactly one goroutine).
+// shared stats, so concurrent callers for distinct j are race-free.
 func (t *Transformed) columnX(j int, buf []float64, wc *workCounters) []float64 {
-	if t.cacheX && t.xCache[j] != nil {
+	if t.cacheX {
 		return t.xCache[j]
 	}
 	for i := range buf {
@@ -622,10 +611,6 @@ func (t *Transformed) columnX(j int, buf []float64, wc *workCounters) []float64 
 	}
 	t.fact.Solve(buf)
 	wc.solves++
-	if t.cacheX {
-		t.xCache[j] = append([]float64(nil), buf...)
-		return t.xCache[j]
-	}
 	return buf
 }
 
@@ -768,7 +753,7 @@ func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]flo
 		lopts := lanczos.Options{
 			Cutoff:  stats.LambdaC,
 			Mode:    opts.LanczosMode,
-			ConvTol: opts.LanczosConvTol,
+			ConvTol: lanczosConvTol,
 			Seed:    opts.Seed,
 		}
 		run := func(o lanczos.Options) (*lanczos.Result, error) {

@@ -13,61 +13,97 @@ import (
 	"repro/internal/sparse"
 )
 
-// initYEval prepares the cached state for exact multiport admittance
-// evaluation: a fill-reducing ordering and symbolic factorization of the
-// pattern union of D and E (valid for D + sE at every s), the permuted
-// blocks, and value arrays aligned with the union pattern. It runs once;
-// subsequent Y evaluations only read the cache, so they may run
-// concurrently.
-func (s *System) initYEval() error {
-	s.yOnce.Do(func() { s.yErr = s.buildYEval() })
-	return s.yErr
+// pencil is the complex pencil D + sE in one fixed ordering: the
+// union pattern of D and E, its factorization analysis (run once, then
+// shared by the numeric factorization at every s, so per-point work is
+// purely numeric), and the alignment of the D and E values with the
+// union storage. An analyzed pencil is immutable and safe to share.
+type pencil struct {
+	d, e       *sparse.CSR // D and E in the pencil's ordering
+	perm       []int       // the ordering: new index -> old index
+	an         *chol.Analysis
+	dPos, ePos []int // position of each union entry in d, e (-1 if absent)
 }
 
-func (s *System) buildYEval() error {
-	union := sparse.PatternUnion(s.D, s.E)
-	sym := order.Analyze(union, order.MinimumDegree)
-	dp := s.D.PermuteSym(sym.Perm)
-	ep := s.E.PermuteSym(sym.Perm)
-	pat := sparse.PatternUnion(dp, ep)
-	// Align the D and E values with the union pattern storage.
-	dPos := make([]int, pat.NNZ())
-	ePos := make([]int, pat.NNZ())
-	for p := range dPos {
-		dPos[p] = -1
-		ePos[p] = -1
+// newPencil orders the union pattern of d and e by method and analyzes
+// it. order.Natural keeps d and e as they stand, so the pencil lives in
+// their frame with no permutation copy.
+func newPencil(d, e *sparse.CSR, method order.Method) (*pencil, error) {
+	pat := sparse.PatternUnion(d, e)
+	sym := order.Analyze(pat, method)
+	if method != order.Natural {
+		d, e = d.PermuteSym(sym.Perm), e.PermuteSym(sym.Perm)
+		pat = sparse.PatternUnion(d, e)
 	}
-	for i := 0; i < s.N; i++ {
-		pd := dp.RowPtr[i]
-		pe := ep.RowPtr[i]
+	an, err := chol.Analyze(pat, sym)
+	if err != nil {
+		return nil, err
+	}
+	dPos, ePos := alignUnionPositions(pat, d, e)
+	return &pencil{d: d, e: e, perm: sym.Perm, an: an, dPos: dPos, ePos: ePos}, nil
+}
+
+// factorize runs the complex LDLᵀ factorization of D + sv·E through an
+// optional workspace (see chol.Analysis.FactorizeComplex).
+func (pc *pencil) factorize(sv complex128, ws *chol.FactorWorkspace) (*chol.ComplexFactor, error) {
+	return pc.an.FactorizeComplex(func(p int) complex128 {
+		var v complex128
+		if q := pc.dPos[p]; q >= 0 {
+			v += complex(pc.d.Val[q], 0)
+		}
+		if q := pc.ePos[p]; q >= 0 {
+			v += sv * complex(pc.e.Val[q], 0)
+		}
+		return v
+	}, ws)
+}
+
+// alignUnionPositions maps every stored position of the union pattern to
+// the corresponding stored position in a and b (-1 where the operand has
+// no entry).
+func alignUnionPositions(pat, a, b *sparse.CSR) (aPos, bPos []int) {
+	aPos = make([]int, pat.NNZ())
+	bPos = make([]int, pat.NNZ())
+	for p := range aPos {
+		aPos[p] = -1
+		bPos[p] = -1
+	}
+	for i := 0; i < pat.Rows; i++ {
+		pa := a.RowPtr[i]
+		pb := b.RowPtr[i]
 		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
 			j := pat.Col[p]
-			for pd < dp.RowPtr[i+1] && dp.Col[pd] < j {
-				pd++
+			for pa < a.RowPtr[i+1] && a.Col[pa] < j {
+				pa++
 			}
-			if pd < dp.RowPtr[i+1] && dp.Col[pd] == j {
-				dPos[p] = pd
+			if pa < a.RowPtr[i+1] && a.Col[pa] == j {
+				aPos[p] = pa
 			}
-			for pe < ep.RowPtr[i+1] && ep.Col[pe] < j {
-				pe++
+			for pb < b.RowPtr[i+1] && b.Col[pb] < j {
+				pb++
 			}
-			if pe < ep.RowPtr[i+1] && ep.Col[pe] == j {
-				ePos[p] = pe
+			if pb < b.RowPtr[i+1] && b.Col[pb] == j {
+				bPos[p] = pb
 			}
 		}
 	}
-	s.yDP = dp
-	s.yEP = ep
-	s.yQP = s.Q.PermuteRows(sym.Perm).Transpose() // m×n: row i = column i of permuted Q
-	s.yRP = s.R.PermuteRows(sym.Perm).Transpose()
-	s.yDPos = dPos
-	s.yEPos = ePos
-	an, err := chol.Analyze(pat, sym)
-	if err != nil {
-		return err
-	}
-	s.yAn = an
-	return nil
+	return aPos, bPos
+}
+
+// initYEval prepares the cached state for exact multiport admittance
+// evaluation: the pencil D + sE under a fill-reducing ordering of its
+// union pattern (valid for every s) and the connection blocks in that
+// ordering. It runs once; subsequent Y evaluations only read the cache,
+// so they may run concurrently.
+func (s *System) initYEval() error {
+	s.yOnce.Do(func() {
+		s.yPen, s.yErr = newPencil(s.D, s.E, order.MinimumDegree)
+		if s.yErr == nil {
+			s.yQP = s.Q.PermuteRows(s.yPen.perm).Transpose() // m×n: row i = column i of permuted Q
+			s.yRP = s.R.PermuteRows(s.yPen.perm).Transpose()
+		}
+	})
+	return s.yErr
 }
 
 // yPortChunk is the block size of the Schur-complement port solves: the
@@ -106,27 +142,17 @@ func (s *System) yEval(sv complex128, ws *yWorkspace) (*dense.CMat, error) {
 	if err := s.initYEval(); err != nil {
 		return nil, err
 	}
-	val := func(p int) complex128 {
-		var v complex128
-		if q := s.yDPos[p]; q >= 0 {
-			v += complex(s.yDP.Val[q], 0)
-		}
-		if q := s.yEPos[p]; q >= 0 {
-			v += sv * complex(s.yEP.Val[q], 0)
-		}
-		return v
-	}
 	// The analysis is shared across every frequency point, so each point
 	// pays only the numeric factorization — and with a sweep workspace
 	// (supernodal kernel), not even an allocation for it.
 	var fws *chol.FactorWorkspace
 	if ws != nil {
 		if ws.fws == nil {
-			ws.fws = s.yAn.NewWorkspace()
+			ws.fws = s.yPen.an.NewWorkspace()
 		}
 		fws = ws.fws
 	}
-	f, err := s.yAn.FactorizeComplex(val, fws)
+	f, err := s.yPen.factorize(sv, fws)
 	if err != nil {
 		return nil, fmt.Errorf("core: factorization of D+sE at s=%v: %w", sv, err)
 	}
@@ -200,17 +226,6 @@ func (s *System) yEval(sv complex128, ws *yWorkspace) (*dense.CMat, error) {
 	return y, nil
 }
 
-// Transimpedance evaluates Z(s) = Y(s)⁻¹ and returns the (i, j) entry,
-// the quantity plotted in Figure 5 of the paper (small-signal
-// transimpedance between two port nodes).
-func (s *System) Transimpedance(sv complex128, i, j int) (complex128, error) {
-	y, err := s.Y(sv)
-	if err != nil {
-		return 0, err
-	}
-	return TransimpedanceOf(y, i, j)
-}
-
 // TransimpedanceOf inverts the admittance matrix and returns Z[i][j].
 func TransimpedanceOf(y *dense.CMat, i, j int) (complex128, error) {
 	f, err := dense.FactorCLU(y.Clone())
@@ -224,20 +239,19 @@ func TransimpedanceOf(y *dense.CMat, i, j int) (complex128, error) {
 }
 
 // YSweep evaluates the exact multiport admittance at every frequency of
-// the sweep (Hz, evaluated at s = j2πf) using up to workers goroutines
-// (workers <= 1 runs serially). The factorizations per frequency are
-// independent, so the sweep fans out over the par pool — the dominant
-// cost of full-network AC verification. Each result lands in its own
-// index slot and errors are reported by lowest failing frequency index,
-// so the outcome is identical at every worker count.
-func (s *System) YSweep(freqs []float64, workers int) ([]*dense.CMat, error) {
-	return s.YSweepCtx(context.Background(), freqs, workers)
+// the sweep (Hz, evaluated at s = j2πf). The factorizations per
+// frequency are independent, so the sweep fans out over the par pool —
+// the dominant cost of full-network AC verification. Each result lands
+// in its own index slot and errors are reported by lowest failing
+// frequency index, so the outcome is identical at every GOMAXPROCS.
+func (s *System) YSweep(freqs []float64) ([]*dense.CMat, error) {
+	return s.YSweepCtx(context.Background(), freqs)
 }
 
 // YSweepCtx is YSweep with cooperative cancellation between frequency
 // points: a canceled sweep returns a resilience.StageError for the
 // admittance stage instead of partial results.
-func (s *System) YSweepCtx(ctx context.Context, freqs []float64, workers int) ([]*dense.CMat, error) {
+func (s *System) YSweepCtx(ctx context.Context, freqs []float64) ([]*dense.CMat, error) {
 	if err := s.initYEval(); err != nil {
 		return nil, err
 	}
@@ -248,15 +262,8 @@ func (s *System) YSweepCtx(ctx context.Context, freqs []float64, workers int) ([
 	// factorization and solve storage is allocated once per worker for
 	// the whole sweep instead of once per point. Result placement and
 	// arithmetic are unchanged — the workspace only recycles buffers.
-	nw := workers
-	if max := par.Workers(len(freqs)); nw > max {
-		nw = max
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	wss := make([]*yWorkspace, nw)
-	if err := par.DoCtx(ctx, workers, len(freqs), func(w, k int) {
+	wss := make([]*yWorkspace, par.Workers(len(freqs)))
+	if err := par.ForWorkersCtx(ctx, len(freqs), func(w, k int) {
 		if wss[w] == nil {
 			wss[w] = &yWorkspace{}
 		}

@@ -39,7 +39,7 @@ func Sparsify(w io.Writer, full bool) error {
 	}
 	freqs := []float64{1e8, 3e8, 1e9, 2e9, 3e9}
 	iMon, jDrv := 0, ex.Sys.M/2
-	ys, err := ex.Sys.YSweep(freqs, par.Workers(len(freqs)))
+	ys, err := ex.Sys.YSweep(freqs)
 	if err != nil {
 		return err
 	}

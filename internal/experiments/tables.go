@@ -128,7 +128,7 @@ func Table2(w io.Writer, full bool) error {
 	// frequency points fanned out across the worker pool.
 	var zOrig []complex128
 	acOrig, err := timeIt(func() error {
-		ys, err := ex.Sys.YSweep(freqs, par.Workers(len(freqs)))
+		ys, err := ex.Sys.YSweep(freqs)
 		if err != nil {
 			return err
 		}

@@ -2,38 +2,11 @@ package order
 
 import "fmt"
 
-// SupernodeOptions tunes the supernode partition used by the blocked
-// (supernodal) Cholesky kernels.
-type SupernodeOptions struct {
-	// MaxWidth caps the number of columns per supernode (panel width).
-	// Zero means DefaultMaxWidth. Wider panels amortize more work into
-	// dense rank-k updates but grow the per-panel scratch.
-	MaxWidth int
-	// RelaxFill is the relaxed-amalgamation budget: a column whose
-	// structure is *almost* nested in the running panel may still be
-	// merged as long as the explicitly stored zeros stay at or below
-	// RelaxFill times the panel's entry count. Zero fill budget (the
-	// default, and what chol.Analyze uses) yields exactly the fundamental
-	// partition. Negative disables amalgamation (same result as zero;
-	// kept for clarity in tests).
-	RelaxFill float64
-}
-
-// DefaultMaxWidth is the panel-width cap used when
-// SupernodeOptions.MaxWidth is zero: wide enough for rank-k updates to
-// run at dense-kernel speed, small enough that a panel's diagonal block
-// (MaxWidth² floats) stays cache resident.
+// DefaultMaxWidth is the panel-width cap of the supernodal Cholesky:
+// wide enough for rank-k updates to run at dense-kernel speed, small
+// enough that a panel's diagonal block (DefaultMaxWidth² floats) stays
+// cache resident.
 const DefaultMaxWidth = 48
-
-func (o SupernodeOptions) withDefaults() SupernodeOptions {
-	if o.MaxWidth <= 0 {
-		o.MaxWidth = DefaultMaxWidth
-	}
-	if o.RelaxFill < 0 {
-		o.RelaxFill = 0
-	}
-	return o
-}
 
 // Supernodes is a partition of the factor's columns into contiguous
 // panels, each of which is stored and factored as one dense trapezoid by
@@ -47,9 +20,6 @@ type Supernodes struct {
 	Super []int
 	// ColToSuper maps each column to its supernode.
 	ColToSuper []int
-	// Fill counts the explicitly stored zeros the relaxed amalgamation
-	// introduced (zero for a fundamental partition).
-	Fill int
 }
 
 // NSuper returns the number of supernodes.
@@ -59,76 +29,38 @@ func (sn *Supernodes) NSuper() int { return len(sn.Super) - 1 }
 func (sn *Supernodes) Width(s int) int { return sn.Super[s+1] - sn.Super[s] }
 
 // FindSupernodes partitions the columns of the symbolic factor into
-// supernodes. Column j extends the running panel [s, j) when the panel
-// stays a chain of the elimination tree (Parent[j-1] == j) and either
-//
-//   - the structures nest exactly — count[j-1] == count[j] + 1, the
-//     fundamental-supernode condition: struct(L(:,j-1)) \ {j-1} equals
-//     struct(L(:,j)), so the panel gains no stored zeros — or
-//   - the merge is "relaxed": the explicit zeros of the widened panel
-//     stay within opt.RelaxFill of its entries.
-//
-// Both cases respect opt.MaxWidth. The scan is a single deterministic
+// fundamental supernodes of at most maxWidth columns. Column j extends
+// the running panel [s, j) when the panel stays a chain of the
+// elimination tree (Parent[j-1] == j), the structures nest exactly —
+// count[j-1] == count[j] + 1: struct(L(:,j-1)) \ {j-1} equals
+// struct(L(:,j)), so the panel stores no zeros — and the panel is
+// narrower than maxWidth. The scan is a single deterministic
 // left-to-right pass, so the partition depends only on the symbolic
-// structure and the options.
-func (sym *Symbolic) FindSupernodes(opt SupernodeOptions) *Supernodes {
-	opt = opt.withDefaults()
+// structure and the width cap.
+func (sym *Symbolic) FindSupernodes(maxWidth int) *Supernodes {
 	n := sym.N
-	count := make([]int, n) // nnz of column j of L, incl. diagonal
-	for j := 0; j < n; j++ {
-		count[j] = sym.ColPtr[j+1] - sym.ColPtr[j]
-	}
+	count := func(j int) int { return sym.ColPtr[j+1] - sym.ColPtr[j] } // nnz of L(:,j), incl. diagonal
 	sn := &Supernodes{ColToSuper: make([]int, n)}
 	sn.Super = append(sn.Super, 0)
 	start := 0
-	liveNNZ := 0    // Σ count[i] for i in the running panel
-	panelZeros := 0 // explicit zeros of the running panel
 	for j := 0; j < n; j++ {
-		if j > start {
-			w := j - start // panel width before the candidate extension
-			extend := sym.Parent[j-1] == j && w < opt.MaxWidth
-			if extend {
-				// The widened panel [start..j] stores, per column i, the
-				// in-panel rows {i..j} plus the count[j]−1 below-diagonal
-				// rows of its (new) last column; whatever exceeds the
-				// columns' own structures is explicitly stored zero. The
-				// fundamental condition count[j-1] == count[j]+1 keeps
-				// the zero count unchanged; otherwise the merge must fit
-				// the relaxed-fill budget.
-				W := w + 1
-				entries := W*(W+1)/2 + W*(count[j]-1)
-				zeros := entries - liveNNZ - count[j]
-				if count[j-1] != count[j]+1 {
-					extend = zeros <= int(opt.RelaxFill*float64(entries))
-				}
-				if extend {
-					panelZeros = zeros
-				}
-			}
-			if !extend {
-				sn.Fill += panelZeros
-				sn.Super = append(sn.Super, j)
-				start = j
-				liveNNZ = 0
-				panelZeros = 0
-			}
+		if j > start && !(sym.Parent[j-1] == j && j-start < maxWidth && count(j-1) == count(j)+1) {
+			sn.Super = append(sn.Super, j)
+			start = j
 		}
-		liveNNZ += count[j]
 		sn.ColToSuper[j] = len(sn.Super) - 1
 	}
 	if n > 0 {
-		sn.Fill += panelZeros
 		sn.Super = append(sn.Super, n)
 	}
 	return sn
 }
 
-// Validate checks the structural invariants of a partition against its
-// symbolic analysis: contiguous coverage, consistent ColToSuper, the
-// chain property inside every panel, and structure nesting
-// (count[j-1] <= count[j]+1 within a panel — equality everywhere exactly
-// when the partition is fundamental). It is used by tests and by the
-// factorization package's tests.
+// Validate checks the structural invariants of a fundamental partition
+// against its symbolic analysis: contiguous coverage, consistent
+// ColToSuper, the chain property inside every panel, and exact
+// structure nesting (count[j-1] == count[j]+1 within a panel). It is
+// used by tests and by the factorization package's tests.
 func (sn *Supernodes) Validate(sym *Symbolic) error {
 	n := sym.N
 	if len(sn.ColToSuper) != n {
@@ -153,12 +85,9 @@ func (sn *Supernodes) Validate(sym *Symbolic) error {
 				if sym.Parent[j-1] != j {
 					return fmt.Errorf("order: supernode %d is not an etree chain at column %d", s, j)
 				}
-				// parent[j-1] == j implies struct(j-1)\{j-1} ⊆ struct(j),
-				// so count[j-1] <= count[j]+1; equality is the
-				// fundamental (zero-fill) case.
 				cPrev := sym.ColPtr[j] - sym.ColPtr[j-1]
 				cCur := sym.ColPtr[j+1] - sym.ColPtr[j]
-				if cPrev > cCur+1 {
+				if cPrev != cCur+1 {
 					return fmt.Errorf("order: column %d structure not nested in supernode %d", j, s)
 				}
 			}

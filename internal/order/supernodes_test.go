@@ -36,8 +36,8 @@ func rcMeshPattern(rng *rand.Rand, nx, ny, extra int) *sparse.CSR {
 }
 
 // TestFundamentalSupernodes validates the zero-fill partition on random
-// RC-mesh patterns under every ordering: the structural invariants hold,
-// the partition reports no fill, and every boundary is maximal — the
+// RC-mesh patterns under every ordering: the structural invariants hold
+// and every boundary is maximal — the
 // next column genuinely fails the fundamental condition (or the width
 // cap), so no two adjacent supernodes could have been fused for free.
 func TestFundamentalSupernodes(t *testing.T) {
@@ -48,12 +48,9 @@ func TestFundamentalSupernodes(t *testing.T) {
 		a := rcMeshPattern(rng, nx, ny, rng.Intn(3*nx*ny))
 		for _, m := range []Method{Natural, RCM, MinimumDegree} {
 			sym := Analyze(a, m)
-			sn := sym.FindSupernodes(SupernodeOptions{RelaxFill: 0})
+			sn := sym.FindSupernodes(DefaultMaxWidth)
 			if err := sn.Validate(sym); err != nil {
 				t.Fatalf("trial %d %v: %v", trial, m, err)
-			}
-			if sn.Fill != 0 {
-				t.Fatalf("trial %d %v: fundamental partition reports fill %d", trial, m, sn.Fill)
 			}
 			count := func(j int) int { return sym.ColPtr[j+1] - sym.ColPtr[j] }
 			for s := 0; s < sn.NSuper(); s++ {
@@ -75,67 +72,13 @@ func TestFundamentalSupernodes(t *testing.T) {
 	}
 }
 
-// TestRelaxedSupernodes checks the amalgamated partition: invariants
-// still hold, panels never exceed the width cap, the reported fill
-// matches a direct recount from the column structures, and the budget is
-// respected per panel.
-func TestRelaxedSupernodes(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(72))
-	for trial := 0; trial < 12; trial++ {
-		nx, ny := 2+rng.Intn(9), 2+rng.Intn(9)
-		a := rcMeshPattern(rng, nx, ny, rng.Intn(2*nx*ny))
-		for _, m := range []Method{Natural, RCM, MinimumDegree} {
-			sym := Analyze(a, m)
-			opt := SupernodeOptions{MaxWidth: 8, RelaxFill: 0.2}
-			sn := sym.FindSupernodes(opt)
-			if err := sn.Validate(sym); err != nil {
-				t.Fatalf("trial %d %v: %v", trial, m, err)
-			}
-			fund := sym.FindSupernodes(SupernodeOptions{MaxWidth: 8, RelaxFill: 0})
-			if sn.NSuper() > fund.NSuper() {
-				t.Fatalf("trial %d %v: amalgamation grew the partition: %d > %d",
-					trial, m, sn.NSuper(), fund.NSuper())
-			}
-			count := func(j int) int { return sym.ColPtr[j+1] - sym.ColPtr[j] }
-			totalFill := 0
-			for s := 0; s < sn.NSuper(); s++ {
-				lo, hi := sn.Super[s], sn.Super[s+1]
-				w := hi - lo
-				if w > opt.MaxWidth {
-					t.Fatalf("trial %d %v: supernode %d width %d exceeds cap %d", trial, m, s, w, opt.MaxWidth)
-				}
-				// Panel entries: column i stores rows {i..hi-1} plus the
-				// below-diagonal rows of the last column.
-				entries := w*(w+1)/2 + w*(count(hi-1)-1)
-				nnz := 0
-				for j := lo; j < hi; j++ {
-					nnz += count(j)
-				}
-				zeros := entries - nnz
-				if zeros < 0 {
-					t.Fatalf("trial %d %v: supernode %d negative fill %d", trial, m, s, zeros)
-				}
-				if w > 1 && zeros > int(opt.RelaxFill*float64(entries)) {
-					t.Fatalf("trial %d %v: supernode %d fill %d exceeds budget of %d entries",
-						trial, m, s, zeros, entries)
-				}
-				totalFill += zeros
-			}
-			if totalFill != sn.Fill {
-				t.Fatalf("trial %d %v: Fill = %d, recount = %d", trial, m, sn.Fill, totalFill)
-			}
-		}
-	}
-}
-
-// TestSupernodesEdgeCases covers the trivial shapes: empty, 1×1, and a
-// diagonal matrix (every column its own supernode, or merged only by
-// relaxation... a diagonal matrix has no etree edges, so never merged).
+// TestSupernodesEdgeCases covers the trivial shapes: empty, and a
+// diagonal matrix (no etree edges, so every column is its own
+// supernode).
 func TestSupernodesEdgeCases(t *testing.T) {
 	t.Parallel()
 	empty := &Symbolic{N: 0, ColPtr: []int{0}}
-	if sn := empty.FindSupernodes(SupernodeOptions{}); sn.NSuper() != 0 {
+	if sn := empty.FindSupernodes(DefaultMaxWidth); sn.NSuper() != 0 {
 		t.Fatalf("empty matrix: %d supernodes", sn.NSuper())
 	}
 	b := sparse.NewBuilder(5, 5)
@@ -143,7 +86,7 @@ func TestSupernodesEdgeCases(t *testing.T) {
 		b.Add(i, i, 1)
 	}
 	sym := Analyze(b.Build(), Natural)
-	sn := sym.FindSupernodes(SupernodeOptions{RelaxFill: 0.5})
+	sn := sym.FindSupernodes(DefaultMaxWidth)
 	if err := sn.Validate(sym); err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +111,14 @@ func TestSupernodesDenseChain(t *testing.T) {
 		}
 	}
 	sym := Analyze(b.Build(), Natural)
-	sn := sym.FindSupernodes(SupernodeOptions{RelaxFill: 0})
+	sn := sym.FindSupernodes(DefaultMaxWidth)
 	if err := sn.Validate(sym); err != nil {
 		t.Fatal(err)
 	}
 	if sn.NSuper() != 1 {
 		t.Fatalf("dense pattern: %d supernodes, want 1", sn.NSuper())
 	}
-	capped := sym.FindSupernodes(SupernodeOptions{MaxWidth: 4, RelaxFill: 0})
+	capped := sym.FindSupernodes(4)
 	if got := capped.NSuper(); got != 3 {
 		t.Fatalf("dense pattern with width cap 4: %d supernodes, want 3", got)
 	}

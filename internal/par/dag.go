@@ -1,5 +1,5 @@
 // Task-DAG scheduling: the dependency-counting generalization of the
-// pool in par.go. Do hands out the iterations of one flat loop; RunDAG
+// pool in par.go. ForWorkers hands out the iterations of one flat loop; RunDAG
 // hands out the tasks of a precedence DAG, firing each task the moment
 // its last dependency completes instead of barriering on level
 // boundaries. The supernodal Cholesky is the motivating caller: an
@@ -10,7 +10,7 @@
 // Determinism contract: RunDAG guarantees only *which* tasks run (all of
 // them, each exactly once) and that a task starts strictly after all of
 // its dependencies returned. Execution order beyond that is
-// timing-dependent, so — exactly as with Do — a body that keeps
+// timing-dependent, so — exactly as with ForWorkers — a body that keeps
 // per-task arithmetic independent (worker-owned scratch indexed by the
 // worker id, writes only to task-owned slots, fixed reduction order
 // inside a task) produces bit-identical results at every GOMAXPROCS and
@@ -20,7 +20,7 @@
 // Panics inside a task are captured per worker; the pool keeps draining
 // (a panicked task still releases its dependents, so the run cannot
 // deadlock) and the first captured panic by worker id is re-raised on
-// the calling goroutine after the DAG completes, mirroring Do.
+// the calling goroutine after the DAG completes, mirroring ForWorkers.
 package par
 
 import (
@@ -178,7 +178,7 @@ func RunDAG(workers int, d *DAG, body func(worker, task int)) {
 // a caller-owned slot: there is no early exit, which keeps the set of
 // executed tasks — and therefore every caller-visible side effect — the
 // same on every run. Panics are captured per worker and the first by
-// worker id is re-raised after the run, as in Do.
+// worker id is re-raised after the run, as in ForWorkers.
 func RunDAGScratch(workers int, d *DAG, sc *DAGScratch, body func(worker, task int)) {
 	n := d.n
 	if n == 0 {
@@ -198,7 +198,7 @@ func RunDAGScratch(workers int, d *DAG, sc *DAGScratch, body func(worker, task i
 		// Inline serial path: no goroutines, no synchronization, no
 		// allocations (the parallel machinery lives in its own function so
 		// its escaping captures cost nothing here). A body panic
-		// propagates immediately, as in Do's serial path.
+		// propagates immediately, as in the flat pool's serial path.
 		for len(queue) > 0 {
 			t := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
@@ -265,9 +265,5 @@ func runDAGParallel(workers int, d *DAG, counts []int32, queue []int32, body fun
 		}(w)
 	}
 	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("par: worker panic: %v\n%s", p.value, p.stack))
-		}
-	}
+	rethrow(panics)
 }

@@ -162,7 +162,7 @@ func TestRunDAGSharedDAGConcurrentRuns(t *testing.T) {
 	// One immutable DAG, many concurrent runs each with its own scratch —
 	// the YSweep shape (per-frequency refactorizations share the symbolic
 	// DAG).
-	For(8, func(i int) {
+	ForWorkers(8, func(_, i int) {
 		sc := d.NewScratch()
 		var ran atomic.Int64
 		RunDAGScratch(2, d, sc, func(_, task int) { ran.Add(1) })

@@ -14,7 +14,7 @@ import (
 
 // TestInjectedCancelAtParItem drives the par.item injection point: a func
 // rule armed at item k cancels the context at that exact checkpoint, and
-// DoCtx must stop without running item k's body and without leaking the
+// ForWorkersCtx must stop without running item k's body and without leaking the
 // watcher goroutine.
 func TestInjectedCancelAtParItem(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
@@ -26,7 +26,7 @@ func TestInjectedCancelAtParItem(t *testing.T) {
 	inject.Install(s)
 	defer inject.Reset()
 	var ran atomic.Int64
-	err := DoCtx(ctx, 1, 100, func(_, i int) {
+	err := ForWorkersCtx(ctx, 100, func(_, i int) {
 		if i == 25 {
 			t.Error("item 25 ran despite cancellation at its checkpoint")
 		}

@@ -16,7 +16,7 @@ import (
 // waitGoroutines polls until the live goroutine count returns to at most
 // base (background scavengers may retire at any time), failing the test
 // if the pool leaked workers. This is the no-dependency stand-in for a
-// leak detector: every DoCtx test brackets itself with it.
+// leak detector: every cancellable-pool test brackets itself with it.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -33,9 +33,11 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
 	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
 		hits := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		ForWorkers(n, func(_, i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("n=%d: index %d ran %d times", n, i, h)
@@ -60,11 +62,13 @@ func TestForWorkersIDsAreDense(t *testing.T) {
 }
 
 func TestDoSerialWhenOneWorker(t *testing.T) {
-	// With workers=1 the body must run inline, in order, on the calling
+	// With one worker the body must run inline, in order, on the calling
 	// goroutine (observable via strictly increasing indices without
 	// synchronization).
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
 	last := -1
-	Do(1, 50, func(w, i int) {
+	ForWorkers(50, func(w, i int) {
 		if w != 0 {
 			t.Fatalf("serial path used worker %d", w)
 		}
@@ -123,7 +127,7 @@ func TestWorkerPanicIsCapturedAndRethrown(t *testing.T) {
 			t.Fatalf("unexpected re-panic payload: %v", r)
 		}
 	}()
-	For(32, func(i int) {
+	ForWorkers(32, func(_, i int) {
 		if i == 5 {
 			panic(errors.New("boom"))
 		}
@@ -178,7 +182,7 @@ func TestDoCtxCompletesWithoutCancel(t *testing.T) {
 	defer cancel()
 	hits := make([]int32, 500)
 	if err := ForWorkersCtx(ctx, 500, func(_, i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
-		t.Fatalf("DoCtx with live context: %v", err)
+		t.Fatalf("ForWorkersCtx with live context: %v", err)
 	}
 	for i, h := range hits {
 		if h != 1 {
@@ -189,10 +193,13 @@ func TestDoCtxCompletesWithoutCancel(t *testing.T) {
 }
 
 func TestDoCtxBackgroundTakesPlainPath(t *testing.T) {
-	// context.Background can never be canceled, so DoCtx must not spawn a
-	// watcher goroutine — same goroutine count before and after, serially.
+	// context.Background can never be canceled, so the pool must not
+	// spawn a watcher goroutine — same goroutine count before and after,
+	// serially.
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
 	base := runtime.NumGoroutine()
-	if err := DoCtx(context.Background(), 1, 100, func(_, i int) {}); err != nil {
+	if err := ForWorkersCtx(context.Background(), 100, func(_, i int) {}); err != nil {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, base)
@@ -218,7 +225,7 @@ func TestDoCtxCancelMidRunStopsAndCleansUp(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int64
-	err := DoCtx(ctx, 4, 100000, func(_, i int) {
+	err := ForWorkersCtx(ctx, 100000, func(_, i int) {
 		if ran.Add(1) == 50 {
 			cancel()
 		}
@@ -237,7 +244,7 @@ func TestDoCtxDeadline(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	err := ForCtx(ctx, 1<<30, func(i int) { time.Sleep(50 * time.Microsecond) })
+	err := ForWorkersCtx(ctx, 1<<30, func(_, i int) { time.Sleep(50 * time.Microsecond) })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -245,10 +252,12 @@ func TestDoCtxDeadline(t *testing.T) {
 }
 
 func TestDoCtxSerialCancel(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ran := 0
-	err := DoCtx(ctx, 1, 1000, func(_, i int) {
+	err := ForWorkersCtx(ctx, 1000, func(_, i int) {
 		ran++
 		if i == 10 {
 			cancel()
@@ -265,18 +274,19 @@ func TestDoCtxSerialCancel(t *testing.T) {
 func BenchmarkForOverheadSmall(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		For(1, func(int) {})
+		ForWorkers(1, func(int, int) {})
 	}
 }
 
 func TestDoChunksCoversEveryIndexOnce(t *testing.T) {
-	t.Parallel()
-	for _, tc := range []struct{ n, chunk, workers int }{
-		{0, 4, 3}, {1, 4, 3}, {7, 3, 2}, {100, 7, 5}, {64, 64, 4}, {64, 1, 4}, {10, 100, 4},
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	for _, tc := range []struct{ n, chunk int }{
+		{0, 4}, {1, 4}, {7, 3}, {100, 7}, {64, 64}, {64, 1}, {10, 100},
 	} {
 		var mu sync.Mutex
 		seen := make([]int, tc.n)
-		DoChunks(tc.workers, tc.n, tc.chunk, func(_, lo, hi int) {
+		ForChunks(tc.n, tc.chunk, func(_, lo, hi int) {
 			if lo < 0 || hi > tc.n || lo >= hi {
 				t.Errorf("n=%d chunk=%d: bad range [%d,%d)", tc.n, tc.chunk, lo, hi)
 			}
@@ -298,11 +308,13 @@ func TestDoChunksCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestDoChunksBoundariesIndependentOfWorkers(t *testing.T) {
-	t.Parallel()
-	collect := func(workers int) map[int]int {
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	collect := func(procs int) map[int]int {
+		runtime.GOMAXPROCS(procs)
 		var mu sync.Mutex
 		ranges := make(map[int]int)
-		DoChunks(workers, 103, 8, func(_, lo, hi int) {
+		ForChunks(103, 8, func(_, lo, hi int) {
 			mu.Lock()
 			ranges[lo] = hi
 			mu.Unlock()
@@ -313,11 +325,11 @@ func TestDoChunksBoundariesIndependentOfWorkers(t *testing.T) {
 	for _, w := range []int{2, 4, 16} {
 		got := collect(w)
 		if len(got) != len(one) {
-			t.Fatalf("workers=%d: %d chunks, want %d", w, len(got), len(one))
+			t.Fatalf("GOMAXPROCS=%d: %d chunks, want %d", w, len(got), len(one))
 		}
 		for lo, hi := range one {
 			if got[lo] != hi {
-				t.Fatalf("workers=%d: chunk [%d,%d), want [%d,%d)", w, lo, got[lo], lo, hi)
+				t.Fatalf("GOMAXPROCS=%d: chunk [%d,%d), want [%d,%d)", w, lo, got[lo], lo, hi)
 			}
 		}
 	}
