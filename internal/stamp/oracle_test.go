@@ -140,7 +140,7 @@ func extractOracle(deck *netlist.Deck, extraPorts ...string) (*Extraction, error
 	for i := range ports {
 		ports[i] = i
 	}
-	sys, err := core.Partition(gb.BuildPar(), cb.BuildPar(), ports)
+	sys, err := core.Partition(gb.Build(), cb.Build(), ports)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func csrBitsEqual(a, b *sparse.CSR) bool {
 // of the bucketed stamping loop and the parallel CSR build: the
 // partitioned system must match the 1-proc result bit for bit at every
 // worker count. The grid is large enough for several stamping chunks
-// and BuildPar row ranges.
+// and Build row chunks.
 func TestExtractBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	deck, ports, err := netgen.PowerGrid(netgen.PowerGridPreset(20_000))
 	if err != nil {
