@@ -28,7 +28,7 @@ func LeakOrder(m map[string]float64) []string {
 
 // DAGShared seeds the sharedwrite/fpreduce violations through the DAG
 // scheduler entry point: par.RunDAG callbacks run on pool workers and
-// must obey the same slot-indexed write discipline as par.Do bodies.
+// must obey the same slot-indexed write discipline as par.ForWorkers bodies.
 func DAGShared(d *par.DAG, xs []float64) float64 {
 	total := 0.0
 	par.RunDAG(2, d, func(w, s int) {

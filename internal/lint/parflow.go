@@ -34,14 +34,9 @@ import (
 // callback is the worker index (-1: none; the remaining parameters are
 // the item/slot/range arguments).
 var parEntryNames = map[string]int{
-	"Do":            0,
-	"DoCtx":         0,
-	"DoChunks":      0,
 	"ForChunks":     0,
 	"ForWorkers":    0,
 	"ForWorkersCtx": 0,
-	"For":           -1,
-	"ForCtx":        -1,
 	"Map":           -1,
 	"RunDAG":        0,
 	"RunDAGScratch": 0,

@@ -12,20 +12,24 @@ const parStub = `package par
 
 func Workers(n int) int { return 1 }
 
-func Do(workers, n int, body func(worker, i int)) {
+func ForWorkers(n int, body func(worker, i int)) {
 	for i := 0; i < n; i++ {
 		body(0, i)
 	}
 }
 
-func ForWorkers(n int, body func(worker, i int)) { Do(1, n, body) }
-
 func ForChunks(n, chunk int, body func(worker, lo, hi int)) { body(0, 0, n) }
 
-func For(n int, body func(i int)) {
-	for i := 0; i < n; i++ {
-		body(i)
+func Map[T any](n int, f func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	for i := range out {
+		v, err := f(i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
 	}
+	return out, nil
 }
 `
 
@@ -104,7 +108,7 @@ import "fixturemod/internal/par"
 
 func BadSum(xs []float64) float64 {
 	sum := 0.0
-	par.For(len(xs), func(i int) {
+	par.ForWorkers(len(xs), func(_, i int) {
 		sum += xs[i]
 	})
 	return sum
@@ -112,8 +116,9 @@ func BadSum(xs []float64) float64 {
 
 func BadSelfAssign(xs []float64) float64 {
 	sum := 0.0
-	par.For(len(xs), func(i int) {
+	par.Map(len(xs), func(i int) (int, error) {
 		sum = sum + xs[i]
+		return i, nil
 	})
 	return sum
 }
@@ -144,7 +149,7 @@ func OkSlotMerge(xs []float64) float64 {
 `,
 	})
 	ds := runRule(t, l, "internal/core", "fpreduce")
-	wantLines(t, ds, 8, 16, 24)
+	wantLines(t, ds, 8, 16, 25)
 	if !strings.Contains(ds[2].Msg, "worker-indexed") {
 		t.Fatalf("worker-slot accumulation should explain the scheduling-order trap: %v", ds[2])
 	}
@@ -426,17 +431,17 @@ func bump() { hits++ }
 func handler(w, i int) { named = i }
 
 func Bad(xs []float64) {
-	par.For(len(xs), func(i int) {
+	par.ForWorkers(len(xs), func(_, i int) {
 		bump()
 	})
-	par.For(len(xs), func(i int) {
+	par.ForWorkers(len(xs), func(_, i int) {
 		gauge = xs[i]
 	})
-	par.Do(1, len(xs), handler)
+	par.ForWorkers(len(xs), handler)
 }
 
 func Ok(out, xs []float64) {
-	par.For(len(xs), func(i int) {
+	par.ForWorkers(len(xs), func(_, i int) {
 		out[i] = xs[i]
 	})
 }

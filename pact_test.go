@@ -214,8 +214,8 @@ func TestDeterminism(t *testing.T) {
 // contract of the parallel front end: the reduced model a deck produces
 // — poles, connection rows, port matrices, every float64 bit — must not
 // depend on the worker count. The grid is big enough to engage the
-// chunked stamping loop (well past one 2048-element chunk), the
-// parallel triplet→CSR build, and the supernodal kernel (at least 512
+// chunked stamping loop (well past one 2048-element chunk), the pooled
+// row chunks of the triplet→CSR build, and the supernodal kernel (at least 512
 // internal nodes), so a scheduling leak anywhere in
 // stamp → sparse → order → factor shows up as a bit difference here.
 func TestReducedModelGOMAXPROCSInvariant(t *testing.T) {

@@ -43,8 +43,8 @@ go test -run '^TestGoldenCorpus$' -count=1 .
 leg "parallel-core race leg (pactcheck + -race on the pool-driven packages)"
 # internal/chol rides along for the DAG-schedule determinism pins and
 # the chol.dag.task drain-and-report path under the race detector;
-# internal/sparse for the parallel triplet->CSR build and permutation
-# bit-identity pins.
+# internal/sparse for the bit-identity pins of Build's pooled row
+# chunks (the one triplet->CSR path) and of the permutations.
 go test -race -tags pactcheck ./internal/par/ ./internal/core/ ./internal/dense/ \
     ./internal/chol/ ./internal/sparse/
 
