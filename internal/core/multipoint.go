@@ -41,6 +41,18 @@ import (
 // construction, shift set or not — the same argument as Transform 2,
 // with V in place of the kept eigenvectors.
 //
+// Whole-space rule: the shift set defines ShiftMoments·m candidate
+// columns per DC shift and 2·ShiftMoments·m per nonzero shift
+// (candidateColumns). When they number at least N, the union could at
+// best span the whole internal space, and projecting onto the whole
+// space is only a change of basis: Ê then has the spectrum of E′. So
+// multiPointPoles skips the connection block, the shifted
+// factorizations, the Gram–Schmidt union and the projection, and takes
+// the dense E′ eigenpath with the single-point residue projection
+// (residueRows) instead; the multi-point MaxPoles selector applies on
+// both routes. The rule reads only m, N and the shift set, so it is
+// decided before any shift is factored.
+//
 // Determinism: the shift set is canonicalized, candidate columns are
 // generated into a fixed order (shift ascending → moment ascending → Re
 // columns by port → Im columns by port), and the Gram–Schmidt union runs
@@ -274,10 +286,27 @@ func (t *Transformed) clusterPorts(k int) [][]int {
 	})
 }
 
+// candidateColumns returns the number of candidate columns a shift set
+// defines: moments·m for the DC shift (real moments only) and
+// 2·moments·m for every nonzero shift (Re and Im parts per port).
+func candidateColumns(m, moments int, shifts []float64) int {
+	cols := 0
+	for _, f := range shifts {
+		if f == 0 {
+			cols += m
+		} else {
+			cols += 2 * m
+		}
+	}
+	return moments * cols
+}
+
 // multiPointPoles is the multi-expansion-point Transform 2 back end:
 // moment candidates per shift, per-cluster thinning when port clustering
 // is on, the global D-orthonormal union V, and the Rayleigh–Ritz
-// projection Ê = VᵀEV, whose eigenvalues ≥ λ_c are the retained poles. A
+// projection Ê = VᵀEV, whose eigenvalues ≥ λ_c are the retained poles —
+// or, when the candidates number at least N, the dense E′ eigenpath in
+// place of all of that (the whole-space rule, see the file comment). A
 // MaxPoles cap keeps the strongest residues (selectStrongestPoles). A
 // shift whose factorization fails is dropped with a recorded Recovery
 // (the surviving shifts still span a valid congruence basis); only when
@@ -289,6 +318,23 @@ func (t *Transformed) multiPointPoles(ctx context.Context, opts Options) ([]floa
 	stats := t.stats
 	shifts := opts.Shifts
 	stats.Shifts = len(shifts)
+
+	if cols := candidateColumns(m, opts.ShiftMoments, shifts); cols >= n {
+		stats.BasisColumns, stats.BasisKept, stats.DenseEig = cols, n, true
+		vals, uk, err := t.denseEigAbove(ctx, stats.LambdaC)
+		if err != nil {
+			if resilience.IsCancellation(err) {
+				return nil, nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
+			}
+			return nil, nil, err
+		}
+		rk, err := t.residueRows(ctx, uk, len(vals))
+		if err != nil {
+			return nil, nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
+		}
+		vals, rk = selectStrongestPoles(vals, rk, opts.MaxPoles, opts.FMax)
+		return vals, rk, nil
+	}
 
 	_, pcols, err := t.connectionBlock(ctx)
 	if err != nil {
@@ -428,9 +474,7 @@ func (t *Transformed) multiPointPoles(ctx context.Context, opts Options) ([]floa
 			rk.Set(c, j, s)
 		}
 	}
-	if opts.MaxPoles > 0 && k > opts.MaxPoles {
-		vals, rk = selectStrongestPoles(vals, rk, opts.MaxPoles, opts.FMax)
-	}
+	vals, rk = selectStrongestPoles(vals, rk, opts.MaxPoles, opts.FMax)
 	return vals, rk, nil
 }
 
@@ -441,8 +485,12 @@ func (t *Transformed) multiPointPoles(ctx context.Context, opts Options) ([]floa
 // the poles with the largest band-edge score (poleScores), ties broken
 // toward the slower pole, and the kept set is re-sorted λ-descending so
 // the model keeps the ordering every consumer (and
-// check.PoleRealNonneg) expects.
+// check.PoleRealNonneg) expects. A budget of zero (no cap) or one that
+// already holds every pole returns vals and rk unchanged.
 func selectStrongestPoles(vals []float64, rk *dense.Mat, budget int, fmax float64) ([]float64, *dense.Mat) {
+	if budget <= 0 || len(vals) <= budget {
+		return vals, rk
+	}
 	score := poleScores(vals, rk, fmax)
 	idx := make([]int, len(vals))
 	for i := range idx {

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/resilience"
 )
 
 // Determinism pins of the multi-point mode: the model must be
@@ -242,6 +244,123 @@ func TestTransform2HonorsShifts(t *testing.T) {
 			t.Fatalf("stats: shifts %d, basis kept %d, pruned %d; Reduce: %d, %d, %d",
 				stats.Shifts, stats.BasisKept, stats.PolesPruned,
 				wantStats.Shifts, wantStats.BasisKept, wantStats.PolesPruned)
+		}
+	}
+}
+
+// onePortLadder is a graded nn-node RC chain driven at node 0 only and
+// grounded through a resistor at its far end, so its candidate count
+// moves one column per moment of the DC shift.
+func onePortLadder(t *testing.T, nn int) *System {
+	st := newRCStamper(nn)
+	for i := 0; i+1 < nn; i++ {
+		st.resistor(i, i+1, math.Pow(10, 2*float64(i)/float64(nn-1)))
+	}
+	st.resistor(nn-1, -1, 100)
+	for i := 0; i < nn; i++ {
+		st.capacitor(i, 1)
+	}
+	return st.system(t, []int{0})
+}
+
+// TestMultiPointWholeSpaceShortcut pins the whole-space rule. When the
+// shift set defines exactly N candidate columns, the multi-point run
+// must skip the shifted factorizations and the union and return the
+// single-point dense eigenpath's poles and residues bit for bit, with a
+// MaxPoles cap giving exactly selectStrongestPoles of them; one
+// candidate fewer must still run the union.
+func TestMultiPointWholeSpaceShortcut(t *testing.T) {
+	t.Parallel()
+	fmax := 0.05
+	for _, tc := range []struct {
+		name  string
+		sys   *System
+		o     Options
+		fewer Options // the same fixture with N−1 candidate columns
+	}{
+		{
+			name: "grid 6x6, 9 ports, {0, fmax}",
+			sys:  gradedGridSystem(t, 6, 6, 3, 3, 2),
+			o:    Options{FMax: fmax, Shifts: []float64{0, fmax}},
+		},
+		{
+			name:  "one-port ladder, DC moments",
+			sys:   onePortLadder(t, 13),
+			o:     Options{FMax: fmax, Shifts: []float64{0}, ShiftMoments: 12},
+			fewer: Options{FMax: fmax, Shifts: []float64{0}, ShiftMoments: 11},
+		},
+	} {
+		sys, o := tc.sys, tc.o
+		ro, err := o.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := candidateColumns(sys.M, ro.ShiftMoments, ro.Shifts); got != sys.N {
+			t.Fatalf("%s: fixture defines %d candidate columns on %d internal nodes", tc.name, got, sys.N)
+		}
+		multi, st, err := Reduce(sys, o)
+		if err != nil {
+			t.Fatalf("%s: multi-point reduce: %v", tc.name, err)
+		}
+		if st.BasisColumns != sys.N || st.BasisKept != sys.N || !st.DenseEig ||
+			st.Stage.ShiftFactorNs != 0 || st.Stage.BasisUnionNs != 0 {
+			t.Fatalf("%s: shortcut not taken: columns %d, kept %d of %d, dense %v, shift_factor %d ns, basis_union %d ns",
+				tc.name, st.BasisColumns, st.BasisKept, sys.N, st.DenseEig, st.Stage.ShiftFactorNs, st.Stage.BasisUnionNs)
+		}
+		single, _, err := Reduce(sys, Options{FMax: fmax, DenseThreshold: sys.N})
+		if err != nil {
+			t.Fatalf("%s: single-point reduce: %v", tc.name, err)
+		}
+		if single.K() < 3 {
+			t.Fatalf("%s: fixture keeps %d poles; the cap below needs more than 2", tc.name, single.K())
+		}
+		pinModelBits(t, tc.name+": shortcut vs single-point dense", multi, single)
+
+		capped := o
+		capped.MaxPoles = 2
+		got := reduceMP(t, sys, capped)
+		vals, rk := selectStrongestPoles(single.Lambda, single.R, 2, fmax)
+		pinModelBits(t, tc.name+": capped shortcut vs selectStrongestPoles",
+			got, &ReducedModel{M: single.M, Lambda: vals, A: single.A, B: single.B, R: rk})
+
+		if tc.fewer.FMax == 0 {
+			continue
+		}
+		_, fst, err := Reduce(sys, tc.fewer)
+		if err != nil {
+			t.Fatalf("%s: multi-point reduce with N−1 candidates: %v", tc.name, err)
+		}
+		if fst.BasisColumns != sys.N-1 || fst.DenseEig || fst.BasisKept >= sys.N {
+			t.Fatalf("%s: N−1 candidates skipped the union: columns %d, kept %d of %d, dense %v",
+				tc.name, fst.BasisColumns, fst.BasisKept, sys.N, fst.DenseEig)
+		}
+	}
+}
+
+// TestMultiPointCanceledIsTyped pins that a canceled context ends the
+// multi-point back end with the same typed error on both routes: the
+// basis union and the whole-space shortcut.
+func TestMultiPointCanceledIsTyped(t *testing.T) {
+	t.Parallel()
+	fmax := 0.05
+	for _, tc := range []struct {
+		name string
+		sys  *System
+	}{
+		{"union", multiPointFixture(t)},
+		{"shortcut", gradedGridSystem(t, 6, 6, 3, 3, 2)},
+	} {
+		o := Options{FMax: fmax, Shifts: []float64{0, fmax}}
+		tr, _, err := Transform1(tc.sys, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err = tr.Transform2Context(ctx, o)
+		var se *resilience.StageError
+		if !errors.As(err, &se) || se.Stage != resilience.StageMultiPoint || !resilience.IsCancellation(err) {
+			t.Fatalf("%s: err = %v, want a canceled %s StageError", tc.name, err, resilience.StageMultiPoint)
 		}
 	}
 }

@@ -79,9 +79,14 @@ type Options struct {
 	// moment basis is built per shift, the bases are unioned with a
 	// D-orthonormal modified Gram–Schmidt, and the pencil is
 	// congruence-projected onto the union — so passivity is preserved by
-	// construction exactly as in the single-point path. The shift set is
-	// canonicalized (sorted ascending, duplicates dropped) before use, so
-	// the projected model is independent of listing order.
+	// construction exactly as in the single-point path. When the shift
+	// set defines at least N candidate columns (ShiftMoments·m per DC
+	// shift, 2·ShiftMoments·m per nonzero shift), the union could at
+	// best span the whole internal space, so none of that runs: the
+	// poles come from the dense E′ eigenpath instead, under the same
+	// MaxPoles selector. The shift set is canonicalized (sorted
+	// ascending, duplicates dropped) before use, so the projected model
+	// is independent of listing order.
 	Shifts []float64
 	// ShiftMoments is the number of block moments matched per expansion
 	// point in multi-point mode (default 1: the zeroth moment of the
@@ -91,7 +96,9 @@ type Options struct {
 	// electrical proximity on the conductance graph (TurboMOR-style) and
 	// thins the multi-point candidate basis per cluster before the global
 	// union — cutting the quadratic Gram–Schmidt cost on decks with
-	// hundreds of ports. Only meaningful together with Shifts.
+	// hundreds of ports. Only meaningful together with Shifts, and only
+	// when the candidates number fewer than N: otherwise the union it
+	// thins is never built (see Shifts).
 	PortClusters int
 	// ResiduePruneTol, when positive, additionally drops retained poles
 	// whose worst-case admittance contribution below FMax is smaller than
@@ -171,17 +178,27 @@ type Stats struct {
 	ScratchBytes int64   `json:"scratch_bytes"`
 	Supernodes   int     `json:"supernodes"`   // supernodal panels of the D factor (0: up-looking kernel)
 	FactorFlops  float64 `json:"factor_flops"` // estimated flop count of the numeric factorization
-	DenseEig     bool    `json:"dense_eig"`    // eigenproblem solved densely (small n)
-	XCached      bool    `json:"x_cached"`
+	// DenseEig reports that the eigenproblem of E′ was solved densely:
+	// single-point below DenseThreshold or as the Lanczos fallback, and
+	// multi-point whenever the whole-space rule skips the basis union.
+	DenseEig bool `json:"dense_eig"`
+	XCached  bool `json:"x_cached"`
 	// Multi-expansion-point counters (zero in single-point runs): the
 	// canonicalized shift count, how many shifts were dropped by the
-	// degradation ladder, the candidate columns generated, the columns the
-	// basis union kept, and the port clusters used by the basis thinning.
+	// degradation ladder, and the port clusters used by the basis
+	// thinning.
 	Shifts        int `json:"shifts,omitempty"`
 	ShiftsDropped int `json:"shifts_dropped,omitempty"`
-	BasisColumns  int `json:"basis_columns,omitempty"`
-	BasisKept     int `json:"basis_kept,omitempty"`
-	PortClusters  int `json:"port_clusters,omitempty"`
+	// BasisColumns is the number of candidate columns the surviving
+	// shift set defines, ShiftMoments·m per DC shift plus
+	// 2·ShiftMoments·m per nonzero shift — the count the whole-space rule
+	// compares with N. BasisKept is the dimension of the projection
+	// basis: the columns the Gram–Schmidt union kept, or N when the
+	// candidates number at least N and the union is skipped for the
+	// dense E′ eigenpath.
+	BasisColumns int `json:"basis_columns,omitempty"`
+	BasisKept    int `json:"basis_kept,omitempty"`
+	PortClusters int `json:"port_clusters,omitempty"`
 	// Recoveries lists every recovery ladder that fired during the
 	// reduction, with the perturbation applied (Gamma) and its worst-case
 	// DC admittance error bound (ErrBound) where applicable. An empty list
@@ -734,7 +751,7 @@ func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*Red
 // Stats.Recoveries and Stats.DenseEig set. Cancellation and
 // non-stagnation failures are never retried.
 func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]float64, *dense.Mat, error) {
-	m, n := t.M, t.N
+	n := t.N
 	stats := t.stats
 	var vals []float64
 	var uk *dense.Mat
@@ -830,16 +847,26 @@ func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]flo
 	if opts.MaxPoles > 0 && len(vals) > opts.MaxPoles {
 		vals = vals[:opts.MaxPoles]
 	}
-	k := len(vals)
+	rk, err := t.residueRows(ctx, uk, len(vals))
+	if err != nil {
+		return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
+	}
+	return vals, rk, nil
+}
 
-	// R_k = Ukᵀ R′ = Zkᵀ P with Zk = L⁻ᵀ Uk and P = R − EX, assembled
-	// column by column: R_k[c][j] = z_cᵀ r_j − (E z_c)ᵀ x_j. Both stages
-	// are independent per column (k triangular solves, then m projection
-	// columns), so each fans out across the pool with per-worker counters
-	// and scratch; every slot is written by exactly one goroutine.
+// residueRows projects the first k columns U_k of an eigenvector basis
+// of E′ onto the connection block: R_k = U_kᵀR′ = Z_kᵀP with
+// Z_k = L⁻ᵀU_k and P = R − EX, assembled column by column as
+// R_k[c][j] = z_cᵀr_j − (E z_c)ᵀx_j. Both stages are independent per
+// column (k triangular solves, then m projection columns), so each fans
+// out across the pool with per-worker counters and scratch; every slot
+// is written by exactly one goroutine. The only error is ctx's.
+func (t *Transformed) residueRows(ctx context.Context, uk *dense.Mat, k int) (*dense.Mat, error) {
+	m, n := t.M, t.N
+	stats := t.stats
 	rk := dense.New(k, m)
 	if k == 0 {
-		return vals, rk, nil
+		return rk, nil
 	}
 	zk := make([][]float64, k)
 	ez := make([][]float64, k)
@@ -851,8 +878,8 @@ func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]flo
 		}
 		zk[c] = z
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	// Z_k = L⁻ᵀ U_k as one blocked transpose solve — bit-identical to
 	// k single LTSolve calls, but each factor panel streams once per
@@ -868,7 +895,7 @@ func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]flo
 	})
 	stats.merge(zwcs)
 	if zerr != nil {
-		return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
+		return nil, zerr
 	}
 	workers := par.Workers(m)
 	wcs := make([]workCounters, workers)
@@ -878,11 +905,11 @@ func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]flo
 	}
 	perr := par.ForWorkersCtx(ctx, m, func(w, j int) {
 		x := t.columnX(j, xbufs[w], &wcs[w])
-		cols, vals2 := t.rpT.Row(j) // column j of permuted R
+		cols, vals := t.rpT.Row(j) // column j of permuted R
 		for c := 0; c < k; c++ {
 			s := 0.0
 			for p, i := range cols {
-				s += vals2[p] * zk[c][i]
+				s += vals[p] * zk[c][i]
 			}
 			s -= sparse.Dot(ez[c], x)
 			rk.Set(c, j, s)
@@ -890,9 +917,9 @@ func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]flo
 	})
 	stats.merge(wcs)
 	if perr != nil {
-		return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
+		return nil, perr
 	}
-	return vals, rk, nil
+	return rk, nil
 }
 
 // poleScores returns each pole's worst-case contribution to Y(s) over

@@ -14,12 +14,14 @@ import (
 // `netgen -kind wideband` reduced single-point, multi-point, and
 // cluster-thinned multi-point at one pole budget, each measured against
 // the dense brute-force Y(s) oracle over three decades up to f_max. The
-// quick variant runs the 64-port preset; -full runs the 256-port bench
-// of the headline claim. Single-point PACT matches moments at s = 0
-// only, so at a fixed budget its accuracy degrades over a wide band as
-// the port count grows — the multi-point rows hold the same reduced
-// order and cut the band-edge error by building the projection basis
-// from responses at several expansion points.
+// quick variant runs the 64-port preset; -full runs the 256-port bench.
+// Both presets have at least as many candidate columns (3 per port for
+// the shifts {0, f_max}) as internal nodes, so every multi-point row
+// takes the whole-space rule: the dense E′ eigenpath under the
+// multi-point pole selector, with no union for the clusters to thin.
+// The rows measure that selector against single-point truncation; the
+// basis itself is measured where it projects, by the oracle suite in
+// internal/core.
 func MultiPoint(w io.Writer, full bool) error {
 	ports := 64
 	if full {
@@ -86,9 +88,12 @@ func MultiPoint(w io.Writer, full bool) error {
 			row.name, model.K(), cands, kept, elapsed.Round(time.Millisecond), 100*errs[0])
 	}
 	fmt.Fprintln(w, "\nevery row is passive by construction (congruence on the non-negative")
-	fmt.Fprintln(w, "definite (D, E) pencil); the multi-point rows spend their pole budget on")
-	fmt.Fprintln(w, "band-weighted port coupling instead of the slowest modes, which is where")
-	fmt.Fprintln(w, "the equal-size accuracy win comes from. The oracle suite in internal/core")
-	fmt.Fprintln(w, "asserts the ordering; this table publishes the sizes.")
+	fmt.Fprintln(w, "definite (D, E) pencil). Here the candidate columns of every multi-point")
+	fmt.Fprintln(w, "row cover the internal space (cands >= internal nodes), so the union is")
+	fmt.Fprintln(w, "skipped for the dense E' eigenpath and kept = internal nodes; the clusters")
+	fmt.Fprintln(w, "have no union to thin. The equal-size accuracy win is the multi-point")
+	fmt.Fprintln(w, "selector's, which spends the pole budget on band-weighted port coupling")
+	fmt.Fprintln(w, "instead of the slowest modes, not the expansion points'. The oracle suite")
+	fmt.Fprintln(w, "in internal/core measures the basis on fixtures where it projects.")
 	return nil
 }

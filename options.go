@@ -34,8 +34,13 @@ type Options struct {
 	// Shifts selects multi-expansion-point reduction: the projection basis
 	// is built from moment responses at each listed frequency (Hz; 0 is
 	// the DC point of classic PACT) instead of the s = 0 eigenanalysis
-	// alone. Listing order and duplicates are irrelevant — the set is
-	// canonicalized. Empty keeps the single-point path.
+	// alone. When the shifts define at least as many candidate columns as
+	// there are internal nodes (ShiftMoments·ports per DC shift, twice
+	// that per nonzero shift), the basis could at best span the whole
+	// internal space, so the poles come from the dense eigenpath instead
+	// (see core.Options.Shifts). Listing order and duplicates are
+	// irrelevant — the set is canonicalized. Empty keeps the single-point
+	// path.
 	Shifts []float64
 	// ShiftMoments is the number of moment vectors per expansion point
 	// (default 1).
@@ -43,7 +48,9 @@ type Options struct {
 	// PortClusters, when positive, thins the multi-point basis cluster by
 	// cluster after grouping ports by electrical proximity on the exact
 	// port conductance block (TurboMOR-style port clustering) before the
-	// global union. Only meaningful together with Shifts.
+	// global union. Only meaningful together with Shifts, and only when
+	// the candidate columns number fewer than the internal nodes:
+	// otherwise the union it thins is never built.
 	PortClusters int
 	// ResiduePruneTol additionally drops retained poles whose worst-case
 	// contribution below FMax is smaller than this fraction of the
