@@ -77,3 +77,56 @@ func BenchmarkTrsmLLBelow(b *testing.B) {
 	}
 	reportGFLOPS(b, (tsH-tsW)*tsW*tsW)
 }
+
+// The eigensolver benchmarks time the dense pole analysis at the size of
+// the 256-port wide-band deck's E′ (320 internal nodes after the port
+// partition), and the tridiagonal QL solve every Lanczos convergence
+// check runs:
+//
+//	go test ./internal/dense -run '^$' -bench 'Eig'
+const eigN = 320
+
+func benchSym(n int) *dense.Mat {
+	a := dense.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			v := float64((i*7+j*13)%29)*0.03125 - 0.4
+			if i == j {
+				v += float64(n)
+			}
+			a.SetSym(i, j, v)
+		}
+	}
+	return a
+}
+
+func BenchmarkSymEig(b *testing.B) {
+	src := benchSym(eigN)
+	work := dense.New(eigN, eigN)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work.Data, src.Data)
+		if _, _, err := dense.SymEig(work, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTridiagEig(b *testing.B) {
+	alpha := make([]float64, eigN)
+	beta := make([]float64, eigN-1)
+	for i := range alpha {
+		alpha[i] = 2 + float64(i%17)*0.125
+	}
+	for i := range beta {
+		beta[i] = 0.5 + float64(i%5)*0.0625
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := dense.TridiagEig(alpha, beta); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -14,7 +14,8 @@ import (
 //
 // The implementation is the classic EISPACK pair: Householder
 // tridiagonalization (tred2) followed by implicit-shift QL iteration
-// (tql2).
+// (tql2), both run on the transpose Vᵀ so that every inner loop walks a
+// contiguous row (see transposeSquare).
 func SymEig(a *Mat, wantVecs bool) (vals []float64, vecs *Mat, err error) {
 	if a.R != a.C {
 		return nil, nil, fmt.Errorf("dense: SymEig requires square matrix, got %dx%d", a.R, a.C)
@@ -25,15 +26,19 @@ func SymEig(a *Mat, wantVecs bool) (vals []float64, vecs *Mat, err error) {
 	}
 	d := make([]float64, n)
 	e := make([]float64, n)
-	v := a // tridiagonalize in place, accumulating transforms into a
-	tred2(v, d, e)
-	if err := tql2(v, d, e); err != nil {
+	// Tridiagonalize in place, accumulating Vᵀ into a. The entry
+	// transpose makes tred2 read the same triangle of a not bitwise
+	// symmetric input as the column layout would.
+	transposeSquare(a)
+	tred2(a, d, e)
+	if err := tql2(a, d, e); err != nil {
 		return nil, nil, err
 	}
 	if !wantVecs {
 		return d, nil, nil
 	}
-	return d, v, nil
+	transposeSquare(a)
+	return d, a, nil
 }
 
 // TridiagEig computes the full eigensystem of the symmetric tridiagonal
@@ -53,21 +58,44 @@ func TridiagEig(alpha, beta []float64) (vals []float64, z *Mat, err error) {
 	for i := 1; i < k; i++ {
 		e[i] = beta[i-1]
 	}
-	z = Identity(k)
+	z = Identity(k) // Zᵀ = I
 	if err := tql2(z, d, e); err != nil {
 		return nil, nil, err
 	}
+	transposeSquare(z)
 	return d, z, nil
 }
 
-// tred2 reduces the symmetric matrix in v to tridiagonal form by
-// Householder similarity transformations, accumulating the orthogonal
-// transform into v. On return d holds the diagonal and e[1..n-1] the
-// subdiagonal (e[0] = 0). Ported from the EISPACK/JAMA routine.
-func tred2(v *Mat, d, e []float64) {
-	n := v.R
+// transposeSquare transposes the square matrix m in place.
+//
+// tred2 and tql2 keep the accumulated transform as its transpose: the
+// EISPACK/JAMA routines walk columns of V in every inner loop (the
+// Householder dot products and updates, the QL rotations, the sort
+// swaps), which are rows of Vᵀ. Each element still sees exactly the
+// operation sequence of the column-layout routines, so every eigenvalue
+// and eigenvector entry is bit-identical to theirs; only the memory
+// order of the walk changes.
+func transposeSquare(m *Mat) {
+	n := m.R
+	a := m.Data
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			a[i*n+j], a[j*n+i] = a[j*n+i], a[i*n+j]
+		}
+	}
+}
+
+// tred2 reduces the symmetric matrix to tridiagonal form by Householder
+// similarity transformations. w holds the transpose of the input
+// (w(j, k) = a(k, j)) and receives the transpose Vᵀ of the orthogonal
+// transform. On return d holds the diagonal and e[1..n-1] the
+// subdiagonal (e[0] = 0). Ported from the EISPACK/JAMA routine, with
+// every v(k, j) read as w(j, k).
+func tred2(w *Mat, d, e []float64) {
+	n := w.R
+	a := w.Data
 	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
+		d[j] = a[j*n+n-1]
 	}
 	for i := n - 1; i > 0; i-- {
 		scale := 0.0
@@ -78,9 +106,9 @@ func tred2(v *Mat, d, e []float64) {
 		if scale == 0 {
 			e[i] = d[i-1]
 			for j := 0; j < i; j++ {
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
-				v.Set(j, i, 0)
+				d[j] = a[j*n+i-1]
+				a[j*n+i] = 0
+				a[i*n+j] = 0
 			}
 		} else {
 			for k := 0; k < i; k++ {
@@ -98,13 +126,18 @@ func tred2(v *Mat, d, e []float64) {
 			for j := 0; j < i; j++ {
 				e[j] = 0
 			}
+			wi := a[i*n : i*n+i]
 			for j := 0; j < i; j++ {
 				f = d[j]
-				v.Set(j, i, f)
-				g = e[j] + v.At(j, j)*f
-				for k := j + 1; k <= i-1; k++ {
-					g += v.At(k, j) * d[k]
-					e[k] += v.At(k, j) * f
+				wi[j] = f
+				wj := a[j*n : j*n+i]
+				g = e[j] + wj[j]*f
+				wk := wj[j+1:]
+				dk, ek := d[j+1:i], e[j+1:i]
+				dk, ek = dk[:len(wk)], ek[:len(wk)]
+				for k, x := range wk {
+					g += x * dk[k]
+					ek[k] += x * f
 				}
 				e[j] = g
 			}
@@ -120,52 +153,63 @@ func tred2(v *Mat, d, e []float64) {
 			for j := 0; j < i; j++ {
 				f = d[j]
 				g = e[j]
-				for k := j; k <= i-1; k++ {
-					v.Add(k, j, -(f*e[k] + g*d[k]))
+				wj := a[j*n : j*n+i]
+				wk := wj[j:]
+				dk, ek := d[j:i], e[j:i]
+				dk, ek = dk[:len(wk)], ek[:len(wk)]
+				for k := range wk {
+					wk[k] += -(f*ek[k] + g*dk[k])
 				}
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
+				d[j] = wj[i-1]
+				a[j*n+i] = 0
 			}
 		}
 		d[i] = h
 	}
 	// Accumulate transformations.
 	for i := 0; i < n-1; i++ {
-		v.Set(n-1, i, v.At(i, i))
-		v.Set(i, i, 1)
+		a[i*n+n-1] = a[i*n+i]
+		a[i*n+i] = 1
 		h := d[i+1]
+		wi1 := a[(i+1)*n : (i+1)*n+i+1]
 		if h != 0 {
-			for k := 0; k <= i; k++ {
-				d[k] = v.At(k, i+1) / h
+			dk := d[:len(wi1)]
+			for k, x := range wi1 {
+				dk[k] = x / h
 			}
 			for j := 0; j <= i; j++ {
+				wj := a[j*n : j*n+i+1]
 				g := 0.0
-				for k := 0; k <= i; k++ {
-					g += v.At(k, i+1) * v.At(k, j)
+				for k, x := range wi1 {
+					g += x * wj[k]
 				}
-				for k := 0; k <= i; k++ {
-					v.Add(k, j, -g*d[k])
+				dk := d[:len(wj)]
+				for k := range wj {
+					wj[k] += -g * dk[k]
 				}
 			}
 		}
-		for k := 0; k <= i; k++ {
-			v.Set(k, i+1, 0)
+		for k := range wi1 {
+			wi1[k] = 0
 		}
 	}
 	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
-		v.Set(n-1, j, 0)
+		d[j] = a[j*n+n-1]
+		a[j*n+n-1] = 0
 	}
-	v.Set(n-1, n-1, 1)
+	a[(n-1)*n+n-1] = 1
 	e[0] = 0
 }
 
 // tql2 diagonalizes a symmetric tridiagonal matrix (diagonal d,
 // subdiagonal e[1..n-1]) by the implicit-shift QL algorithm, accumulating
-// rotations into v. On return d holds the eigenvalues ascending and the
-// columns of v the eigenvectors. Ported from the EISPACK/JAMA routine.
-func tql2(v *Mat, d, e []float64) error {
+// rotations into w, which holds the transpose of the eigenvector matrix.
+// On return d holds the eigenvalues ascending and the rows of w the
+// eigenvectors. Ported from the EISPACK/JAMA routine, with every column
+// of v read as a row of w.
+func tql2(w *Mat, d, e []float64) error {
 	n := len(d)
+	a := w.Data
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -219,10 +263,12 @@ func tql2(v *Mat, d, e []float64) error {
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
-					for k := 0; k < n; k++ {
-						h = v.At(k, i+1)
-						v.Set(k, i+1, s*v.At(k, i)+c*h)
-						v.Set(k, i, c*v.At(k, i)-s*h)
+					wi := a[i*n : i*n+n]
+					wi1 := a[(i+1)*n : (i+1)*n+n]
+					wi = wi[:len(wi1)]
+					for k, x := range wi1 {
+						wi1[k] = s*wi[k] + c*x
+						wi[k] = c*wi[k] - s*x
 					}
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1
@@ -252,10 +298,10 @@ func tql2(v *Mat, d, e []float64) error {
 		if k != i {
 			d[k] = d[i]
 			d[i] = p
-			for r := 0; r < n; r++ {
-				tmp := v.At(r, i)
-				v.Set(r, i, v.At(r, k))
-				v.Set(r, k, tmp)
+			wi := a[i*n : i*n+n]
+			wk := a[k*n : k*n+n]
+			for r := range wi {
+				wi[r], wk[r] = wk[r], wi[r]
 			}
 		}
 	}
