@@ -139,6 +139,9 @@ func FuzzFormatValue(f *testing.F) {
 			t.Skip("only finite values have a SPICE representation")
 		}
 		s := FormatValue(v)
+		if want := formatValueRef(v); s != want {
+			t.Fatalf("FormatValue(%v) = %q, reference %q", v, s, want)
+		}
 		if strings.ContainsAny(s, " \t\n(),") {
 			t.Fatalf("FormatValue(%v) = %q contains separator characters", v, s)
 		}

@@ -54,7 +54,7 @@ type Resistor struct {
 func (r *Resistor) Name() string    { return r.Ident }
 func (r *Resistor) Nodes() []string { return []string{r.N1, r.N2} }
 func (r *Resistor) Card() string {
-	return fmt.Sprintf("%s %s %s %s", r.Ident, r.N1, r.N2, FormatValue(r.Value))
+	return string(appendTwoTerminal(nil, r.Ident, r.N1, r.N2, r.Value))
 }
 
 // Capacitor is a two-terminal capacitor.
@@ -67,7 +67,19 @@ type Capacitor struct {
 func (c *Capacitor) Name() string    { return c.Ident }
 func (c *Capacitor) Nodes() []string { return []string{c.N1, c.N2} }
 func (c *Capacitor) Card() string {
-	return fmt.Sprintf("%s %s %s %s", c.Ident, c.N1, c.N2, FormatValue(c.Value))
+	return string(appendTwoTerminal(nil, c.Ident, c.N1, c.N2, c.Value))
+}
+
+// appendTwoTerminal appends the card "<ident> <n1> <n2> <value>" of a
+// resistor or capacitor to dst.
+func appendTwoTerminal(dst []byte, ident, n1, n2 string, v float64) []byte {
+	dst = append(dst, ident...)
+	dst = append(dst, ' ')
+	dst = append(dst, n1...)
+	dst = append(dst, ' ')
+	dst = append(dst, n2...)
+	dst = append(dst, ' ')
+	return AppendValue(dst, v)
 }
 
 // Diode is a two-terminal junction diode referencing a .model card of

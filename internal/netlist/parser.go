@@ -524,22 +524,41 @@ func (d *Deck) Write(w io.Writer) error {
 		}
 	}
 	sortStrings(subNames)
+	var line []byte
 	for _, k := range subNames {
 		sub := d.Subckts[k]
 		fmt.Fprintf(bw, ".subckt %s %s\n", sub.Ident, strings.Join(sub.Ports, " "))
 		for _, e := range sub.Elements {
-			fmt.Fprintln(bw, e.Card())
+			line = writeCard(bw, line, e)
 		}
 		fmt.Fprintln(bw, ".ends")
 	}
 	for _, e := range d.Elements {
-		fmt.Fprintln(bw, e.Card())
+		line = writeCard(bw, line, e)
 	}
 	for _, c := range d.Controls {
 		fmt.Fprintln(bw, c)
 	}
 	fmt.Fprintln(bw, ".end")
 	return bw.Flush()
+}
+
+// writeCard writes e's card and a newline to bw. Resistors and
+// capacitors, every card of a realized deck, are appended into the
+// reused line buffer with no per-card allocation; the buffer is returned
+// for the next card.
+func writeCard(bw *bufio.Writer, line []byte, e Element) []byte {
+	switch x := e.(type) {
+	case *Resistor:
+		line = appendTwoTerminal(line[:0], x.Ident, x.N1, x.N2, x.Value)
+	case *Capacitor:
+		line = appendTwoTerminal(line[:0], x.Ident, x.N1, x.N2, x.Value)
+	default:
+		line = append(line[:0], e.Card()...)
+	}
+	line = append(line, '\n')
+	bw.Write(line)
+	return line
 }
 
 // String renders the deck as SPICE text.

@@ -80,6 +80,17 @@ done:
 	return mant * mult, nil
 }
 
+// engUnits are FormatValue's suffixes, largest first. Each mult is the
+// literal ParseValue scales its suffix by, so a mantissa token m followed
+// by the suffix re-parses to exactly ParseFloat(m)·mult.
+var engUnits = [...]struct {
+	mult float64
+	suf  string
+}{
+	{1e12, "t"}, {1e9, "g"}, {1e6, "meg"}, {1e3, "k"},
+	{1, ""}, {1e-3, "m"}, {1e-6, "u"}, {1e-9, "n"}, {1e-12, "p"}, {1e-15, "f"},
+}
+
 // FormatValue renders a value in compact SPICE engineering notation,
 // picking the suffix that leaves a mantissa in [1, 1000) where possible.
 //
@@ -92,55 +103,63 @@ done:
 // the suffix multiply itself cannot reproduce v, the value falls back
 // to plain shortest-exact scientific notation.
 func FormatValue(v float64) string {
+	var buf [32]byte
+	return string(AppendValue(buf[:0], v))
+}
+
+// AppendValue appends FormatValue(v) to dst and returns the extended
+// slice. It is the writer's form: it decides every round trip from the
+// mantissa's parsed value times the suffix multiplier, which is what
+// ParseValue computes for the rendered token, so it never re-parses a
+// whole token and allocates nothing beyond growing dst.
+func AppendValue(dst []byte, v float64) []byte {
 	if v == 0 {
-		return "0"
+		return append(dst, '0')
 	}
 	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return fmt.Sprintf("%g", v)
+		return fmt.Appendf(dst, "%g", v)
 	}
 	abs := math.Abs(v)
-	type unit struct {
-		mult float64
-		suf  string
-	}
-	units := []unit{
-		{1e12, "t"}, {1e9, "g"}, {1e6, "meg"}, {1e3, "k"},
-		{1, ""}, {1e-3, "m"}, {1e-6, "u"}, {1e-9, "n"}, {1e-12, "p"}, {1e-15, "f"},
-	}
-	for _, u := range units {
+	n := len(dst)
+	for _, u := range engUnits {
 		if abs >= u.mult && abs < u.mult*1000 {
-			if s := trimFloat(v/u.mult) + u.suf; reparsesTo(s, v) {
-				return s
+			x := v / u.mult
+			var y float64
+			if dst, y = appendTrimmed(dst, x); reparsesTo(y*u.mult, v) {
+				return append(dst, u.suf...)
 			}
-			if s := strconv.FormatFloat(v/u.mult, 'g', -1, 64) + u.suf; reparsesTo(s, v) {
-				return s
+			// The shortest form of x parses back to x itself.
+			if dst = strconv.AppendFloat(dst[:n], x, 'g', -1, 64); reparsesTo(x*u.mult, v) {
+				return append(dst, u.suf...)
 			}
-			return strconv.FormatFloat(v, 'g', -1, 64)
+			return strconv.AppendFloat(dst[:n], v, 'g', -1, 64)
 		}
 	}
-	if s := trimFloat(v); reparsesTo(s, v) {
-		return s
+	dst, y := appendTrimmed(dst, v)
+	if reparsesTo(y, v) {
+		return dst
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(dst[:n], v, 'g', -1, 64)
 }
 
-// reparsesTo reports whether the token parses back to exactly v.
-func reparsesTo(s string, v float64) bool {
-	got, err := ParseValue(s)
+// reparsesTo reports whether a rendered token's parsed value got is
+// exactly v.
+func reparsesTo(got, v float64) bool {
 	//lint:ignore floatcmp bit-exact round trip is the contract here: one ulp of drift moves a waveform edge across its sample point
-	return err == nil && got == v
+	return got == v
 }
 
-func trimFloat(v float64) string {
-	// Ten significant digits: enough for every humanly-entered value to
-	// keep its natural spelling ("2.5", "13.5"); FormatValue falls back
-	// to the shortest exact form when ten digits lose bits.
-	s := strconv.FormatFloat(v, 'g', 10, 64)
-	// Rounding to ten digits can carry values at the very edge of the
-	// float64 range past it (MaxFloat64 becomes 1.797693135e+308, which
-	// overflows on re-parse); fall back to the shortest exact form.
-	if f, err := strconv.ParseFloat(s, 64); err != nil || math.IsInf(f, 0) {
-		return strconv.FormatFloat(v, 'g', -1, 64)
+// appendTrimmed appends x with ten significant digits — enough for every
+// humanly-entered value to keep its natural spelling ("2.5", "13.5") —
+// and returns the value the appended digits parse to. Rounding to ten
+// digits can carry values at the very edge of the float64 range past it
+// (MaxFloat64 becomes 1.797693135e+308, which overflows on re-parse);
+// there it appends the shortest exact form, which parses to x.
+func appendTrimmed(dst []byte, x float64) ([]byte, float64) {
+	n := len(dst)
+	dst = strconv.AppendFloat(dst, x, 'g', 10, 64)
+	if y, err := strconv.ParseFloat(string(dst[n:]), 64); err == nil && !math.IsInf(y, 0) {
+		return dst, y
 	}
-	return s
+	return strconv.AppendFloat(dst[:n], x, 'g', -1, 64), x
 }

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/check"
@@ -383,72 +385,87 @@ func Realize(model *core.ReducedModel, portNames []string, opts RealizeOptions) 
 		core.Sparsify(c, opts.SparsifyTol)
 	}
 	names := append([]string(nil), portNames...)
-	var internal []string
-	for p := 0; p < model.K(); p++ {
-		nm := fmt.Sprintf("%s_i%d", opts.Prefix, p+1)
-		names = append(names, nm)
-		internal = append(internal, nm)
+	internal := make([]string, model.K())
+	for p := range internal {
+		internal[p] = opts.Prefix + "_i" + strconv.Itoa(p+1)
 	}
-	var out []netlist.Element
-	rIdx, cIdx := 0, 0
-	emit := func(mat *dense.Mat, isG bool) {
-		n := mat.R
-		scale := 0.0
-		for i := 0; i < n; i++ {
-			if d := math.Abs(mat.At(i, i)); d > scale {
-				scale = d
-			}
+	names = append(names, internal...)
+	// A counting pass sizes the element slabs and the ident buffer, so
+	// the emitting pass allocates nothing per element.
+	nr, nc := 0, 0
+	realizeBranches(g, func(int, int, float64) { nr++ })
+	realizeBranches(c, func(int, int, float64) { nc++ })
+	rs := make([]netlist.Resistor, 0, nr)
+	cs := make([]netlist.Capacitor, 0, nc)
+	out := make([]netlist.Element, 0, nr+nc)
+	// Every ident is a substring of one builder's buffer: the bytes
+	// behind a substring are never rewritten, and the buffer is sized so
+	// it is never reallocated.
+	var ids strings.Builder
+	ids.Grow((nr + nc) * (1 + len(opts.Prefix) + len(strconv.Itoa(nr+nc))))
+	var num [20]byte
+	ident := func(letter byte, k int) string {
+		start := ids.Len()
+		ids.WriteByte(letter)
+		ids.WriteString(opts.Prefix)
+		ids.Write(strconv.AppendInt(num[:0], int64(k), 10))
+		return ids.String()[start:]
+	}
+	realizeBranches(g, func(i, j int, v float64) {
+		n2, val := netlist.Ground, 1/v
+		if j >= 0 {
+			n2, val = names[j], -1/v
 		}
-		thresh := realizeDropTol * scale
-		for i := 0; i < n; i++ {
-			// Branch elements from off-diagonals.
-			for j := i + 1; j < n; j++ {
-				v := mat.At(i, j)
-				if math.Abs(v) <= thresh {
-					continue
-				}
-				if isG {
-					rIdx++
-					out = append(out, &netlist.Resistor{
-						Ident: fmt.Sprintf("r%s%d", opts.Prefix, rIdx),
-						N1:    names[i], N2: names[j], Value: -1 / v,
-					})
-				} else {
-					cIdx++
-					out = append(out, &netlist.Capacitor{
-						Ident: fmt.Sprintf("c%s%d", opts.Prefix, cIdx),
-						N1:    names[i], N2: names[j], Value: -v,
-					})
-				}
-			}
-			// Element to ground from the diagonal surplus.
-			surplus := mat.At(i, i)
-			for j := 0; j < n; j++ {
-				if j != i {
-					surplus += mat.At(i, j)
-				}
-			}
-			if math.Abs(surplus) <= thresh {
+		rs = append(rs, netlist.Resistor{Ident: ident('r', len(rs)+1), N1: names[i], N2: n2, Value: val})
+		out = append(out, &rs[len(rs)-1])
+	})
+	realizeBranches(c, func(i, j int, v float64) {
+		n2, val := netlist.Ground, v
+		if j >= 0 {
+			n2, val = names[j], -v
+		}
+		cs = append(cs, netlist.Capacitor{Ident: ident('c', len(cs)+1), N1: names[i], N2: n2, Value: val})
+		out = append(out, &cs[len(cs)-1])
+	})
+	return out, internal, nil
+}
+
+// realizeBranches visits the elements one reduced matrix unstamps into,
+// in card order: for each row i, the branch (i, j) of every
+// off-diagonal entry v = mat(i, j), j > i, then the element to ground
+// (j = -1) of the diagonal surplus v = Σⱼ mat(i, j). Entries at or below
+// realizeDropTol times the largest diagonal are numerical noise and are
+// skipped.
+func realizeBranches(mat *dense.Mat, visit func(i, j int, v float64)) {
+	n := mat.R
+	scale := 0.0
+	for i := 0; i < n; i++ {
+		if d := math.Abs(mat.At(i, i)); d > scale {
+			scale = d
+		}
+	}
+	thresh := realizeDropTol * scale
+	for i := 0; i < n; i++ {
+		// Branch elements from off-diagonals.
+		for j := i + 1; j < n; j++ {
+			v := mat.At(i, j)
+			if math.Abs(v) <= thresh {
 				continue
 			}
-			if isG {
-				rIdx++
-				out = append(out, &netlist.Resistor{
-					Ident: fmt.Sprintf("r%s%d", opts.Prefix, rIdx),
-					N1:    names[i], N2: netlist.Ground, Value: 1 / surplus,
-				})
-			} else {
-				cIdx++
-				out = append(out, &netlist.Capacitor{
-					Ident: fmt.Sprintf("c%s%d", opts.Prefix, cIdx),
-					N1:    names[i], N2: netlist.Ground, Value: surplus,
-				})
+			visit(i, j, v)
+		}
+		// Element to ground from the diagonal surplus.
+		surplus := mat.At(i, i)
+		for j := 0; j < n; j++ {
+			if j != i {
+				surplus += mat.At(i, j)
 			}
 		}
+		if math.Abs(surplus) <= thresh {
+			continue
+		}
+		visit(i, -1, surplus)
 	}
-	emit(g, true)
-	emit(c, false)
-	return out, internal, nil
 }
 
 // RealizeSubckt packages the realized reduced network as a .subckt

@@ -197,8 +197,17 @@ func countDeck(d *Deck) (nodes, r, c int) {
 	}
 	for _, e := range d.Elements {
 		count(e)
-		for _, n := range e.Nodes() {
-			seen[n] = struct{}{}
+		// The realized R and C cards are read in place; Nodes() would
+		// build a slice per card.
+		switch x := e.(type) {
+		case *netlist.Resistor:
+			seen[x.N1], seen[x.N2] = struct{}{}, struct{}{}
+		case *netlist.Capacitor:
+			seen[x.N1], seen[x.N2] = struct{}{}, struct{}{}
+		default:
+			for _, n := range e.Nodes() {
+				seen[n] = struct{}{}
+			}
 		}
 	}
 	for _, sub := range d.Subckts {

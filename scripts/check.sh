@@ -96,11 +96,12 @@ go -C perfbench vet ./...
 go -C perfbench test ./...
 
 leg "kernel benchmarks (one iteration each)"
-# The dense panel kernels, chol factor/solve, AMD fill and pool
-# overhead benchmarks run once each, so a broken benchmark fails here
-# rather than in a measurement session. End-to-end performance is
-# perfbench's (see perfbench/README.md).
-go test -run '^$' -bench . -benchtime 1x ./internal/chol/ ./internal/dense/ ./internal/order/ ./internal/par/
+# The dense panel kernels and eigensolver, chol factor/solve, AMD fill,
+# pool overhead and deck writer benchmarks run once each, so a broken
+# benchmark fails here rather than in a measurement session. End-to-end
+# performance is perfbench's (see perfbench/README.md).
+go test -run '^$' -bench . -benchtime 1x ./internal/chol/ ./internal/dense/ ./internal/order/ ./internal/par/ \
+    ./internal/netlist/
 
 leg "fuzz smoke (10s per target)"
 # go test rejects a -fuzz pattern matching several targets, so run them
