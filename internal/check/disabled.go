@@ -18,6 +18,9 @@ func Symmetric(ctx string, m *dense.Mat, tol float64) {}
 // NonNegDef is a no-op unless built with -tags pactcheck.
 func NonNegDef(ctx string, m *dense.Mat, tol float64) {}
 
+// NonNegDefRel is a no-op unless built with -tags pactcheck.
+func NonNegDefRel(ctx string, m, ref *dense.Mat, tol float64) {}
+
 // PoleRealNonneg is a no-op unless built with -tags pactcheck.
 func PoleRealNonneg(ctx string, lambda []float64) {}
 

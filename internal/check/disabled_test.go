@@ -20,6 +20,7 @@ func TestDisabledStubsAreNoOps(t *testing.T) {
 	asym := dense.NewFromRows([][]float64{{1, 2}, {0, 1}})
 	Symmetric("stub", asym, DefaultTol)
 	NonNegDef("stub", indef, DefaultTol)
+	NonNegDefRel("stub", indef, indef, DefaultTol)
 	PoleRealNonneg("stub", []float64{-1, 2})
 	ReducedPassive("stub", indef, asym, DefaultTol)
 	ub := sparse.NewBuilder(2, 2)

@@ -42,6 +42,16 @@ func Symmetric(ctx string, m *dense.Mat, tol float64) {
 // of m + 2·tol·scale·I — if that factors, the bound holds; only when the
 // probe fails is the exact eigenvalue computed for the verdict.
 func NonNegDef(ctx string, m *dense.Mat, tol float64) {
+	NonNegDefRel(ctx, m, m, tol)
+}
+
+// NonNegDefRel is NonNegDef with scale the larger of m's and ref's
+// largest diagonal magnitude, for an m computed from ref. An update that
+// cancels ref — a Schur complement A − QᵀD⁻¹Q that is exactly zero, as
+// on a port with no path to ground — leaves only rounding of ref's size,
+// which a tolerance scaled by m's own tiny diagonal would call
+// indefinite.
+func NonNegDefRel(ctx string, m, ref *dense.Mat, tol float64) {
 	if m.R != m.C {
 		fail(ctx, fmt.Sprintf("matrix is %d×%d, not square", m.R, m.C))
 	}
@@ -49,17 +59,9 @@ func NonNegDef(ctx string, m *dense.Mat, tol float64) {
 	if n == 0 {
 		return
 	}
-	scale := 0.0
-	for i := 0; i < n; i++ {
-		if d := math.Abs(m.At(i, i)); d > scale {
-			scale = d
-		}
-	}
+	scale := math.Max(definitenessScale(m), definitenessScale(ref))
 	if scale == 0 {
-		scale = m.MaxAbs()
-		if scale == 0 {
-			return // the zero matrix is non-negative definite
-		}
+		return // the zero matrix is non-negative definite
 	}
 	probe := m.Clone()
 	shift := 2 * tol * scale
@@ -84,6 +86,21 @@ func NonNegDef(ctx string, m *dense.Mat, tol float64) {
 	if min < -tol*scale {
 		fail(ctx, fmt.Sprintf("matrix is not non-negative definite: λ_min = %g < %g", min, -tol*scale))
 	}
+}
+
+// definitenessScale is the largest diagonal magnitude of m, or its
+// largest entry magnitude when the diagonal is zero.
+func definitenessScale(m *dense.Mat) float64 {
+	scale := 0.0
+	for i := 0; i < m.R; i++ {
+		if d := math.Abs(m.At(i, i)); d > scale {
+			scale = d
+		}
+	}
+	if scale == 0 {
+		scale = m.MaxAbs()
+	}
+	return scale
 }
 
 // PoleRealNonneg panics unless every retained eigenvalue of E′ is finite,

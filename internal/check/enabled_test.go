@@ -71,6 +71,23 @@ func TestNonNegDef(t *testing.T) {
 	mustPanic(t, "not non-negative definite", func() { NonNegDef("neg", neg, DefaultTol) })
 }
 
+func TestNonNegDefRel(t *testing.T) {
+	// A block that cancels to rounding: −4.4e−16 is indefinite on its
+	// own scale but rounding on the scale of the block it came from.
+	cancelled := dense.NewFromRows([][]float64{{-4.440892098500626e-16}})
+	ref := dense.NewFromRows([][]float64{{1}})
+	mustPanic(t, "not non-negative definite", func() { NonNegDef("own scale", cancelled, DefaultTol) })
+	NonNegDefRel("input scale", cancelled, ref, DefaultTol)
+
+	// The reference never hides a violation above its own tolerance, and
+	// a larger m keeps its own scale.
+	bad := dense.NewFromRows([][]float64{{-1e-3}})
+	mustPanic(t, "not non-negative definite", func() { NonNegDefRel("real violation", bad, ref, DefaultTol) })
+	big := dense.NewFromRows([][]float64{{1e6, 0}, {0, -1}})
+	mustPanic(t, "not non-negative definite", func() { NonNegDefRel("own scale larger", big, ref, DefaultTol) })
+	NonNegDefRel("zero", dense.New(2, 2), dense.New(2, 2), DefaultTol)
+}
+
 func TestPoleRealNonneg(t *testing.T) {
 	PoleRealNonneg("ok", []float64{3e-9, 2e-9, 2e-9, 1e-12})
 	PoleRealNonneg("empty", nil)

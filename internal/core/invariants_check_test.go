@@ -4,6 +4,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/check"
@@ -117,5 +118,34 @@ func TestTransform2RealizedMatricesStayPassive(t *testing.T) {
 			}
 			t.Logf("%s: kept %d poles of %d internal nodes", name, stats.PolesFound, stats.Internal)
 		})
+	}
+}
+
+// TestTransform1UngroundedChainPassesNonNegDef is the regression test
+// for a false positive of the port-block definiteness checks. A one-port
+// RC chain with no path to ground has A′ = A − QᵀX = 0 in exact
+// arithmetic, so its computed A′ is pure rounding (−4.4e−16 here). A
+// tolerance scaled by A′'s own diagonal called that indefinite; scaled
+// by the input block A it came from, rounding passes.
+func TestTransform1UngroundedChainPassesNonNegDef(t *testing.T) {
+	for _, nn := range []int{5, 13, 40} {
+		st := newRCStamper(nn)
+		for i := 0; i+1 < nn; i++ {
+			st.resistor(i, i+1, math.Pow(10, 2*float64(i)/float64(nn-1)))
+		}
+		for i := 0; i < nn; i++ {
+			st.capacitor(i, 1)
+		}
+		sys := st.system(t, []int{0})
+		tr, _, err := Transform1(sys, Options{FMax: 0.05})
+		if err != nil {
+			t.Fatalf("nn=%d: Transform1: %v", nn, err)
+		}
+		if a := math.Abs(tr.APrime.At(0, 0)); a > 1e-12 {
+			t.Fatalf("nn=%d: A′ = %g, want the rounding of an exact 0", nn, tr.APrime.At(0, 0))
+		}
+		if _, _, err := Reduce(sys, Options{FMax: 0.05}); err != nil {
+			t.Fatalf("nn=%d: Reduce: %v", nn, err)
+		}
 	}
 }

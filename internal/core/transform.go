@@ -601,10 +601,13 @@ func Transform1Context(ctx context.Context, sys *System, opts Options) (*Transfo
 	if check.Enabled {
 		// Congruence preserves symmetry and definiteness: the exact port
 		// blocks of Transform 1 must inherit both from the input system.
+		// Definiteness is judged on the scale of the blocks A and B the
+		// updates start from: a port with no path to ground has A′ = 0
+		// exactly, so the computed A′ is rounding of A's size.
 		check.Symmetric("Transform1 port conductance block A'", aPrime, check.DefaultTol)
 		check.Symmetric("Transform1 port susceptance block B'", bPrime, check.DefaultTol)
-		check.NonNegDef("Transform1 port conductance block A'", aPrime, check.DefaultTol)
-		check.NonNegDef("Transform1 port susceptance block B'", bPrime, check.DefaultTol)
+		check.NonNegDefRel("Transform1 port conductance block A'", aPrime, denseFromCSR(sys.A, m), check.DefaultTol)
+		check.NonNegDefRel("Transform1 port susceptance block B'", bPrime, denseFromCSR(sys.B, m), check.DefaultTol)
 	}
 	t.APrime = aPrime
 	t.BPrime = bPrime
