@@ -196,6 +196,34 @@ func BenchmarkSolveMulti(b *testing.B) {
 	}
 }
 
+// BenchmarkSolve times one single-vector forward and backward
+// substitution, LSolve then LTSolve, on AMD-ordered 2-D lattices: the
+// factor shape of the 100k power grid, whose supernodes are mostly one
+// column wide, and the pair of triangular solves each Lanczos E′
+// application runs on it. The mesh benchmarks above have wide panels.
+func BenchmarkSolve(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		a    func() *sparse.CSR
+	}{
+		{"mesh2d/n10000", func() *sparse.CSR { return meshSPD(100, 100) }},
+		{"mesh2d/n99856", func() *sparse.CSR { return meshSPD(316, 316) }},
+	} {
+		ap, _, f := analyzeBench(b, m.a())
+		rhs := benchRHSBlock(ap.Rows)[:ap.Rows]
+		work := make([]float64, len(rhs))
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(work, rhs)
+				f.LSolve(work)
+				f.LTSolve(work)
+			}
+			reportShape(b, f)
+		})
+	}
+}
+
 // BenchmarkFactorizeComplex times the complex LDLᵀ of the same meshes
 // at complex values on the analyzed pattern, the per-frequency cost of
 // a Y(s) sweep; a complex multiply-add is four real ones.

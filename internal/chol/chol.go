@@ -195,19 +195,17 @@ func (f *Factor) FlopEstimate() float64 {
 // Bytes returns the approximate peak memory footprint of the factor in
 // bytes, used by the Table 4 memory accounting. For a supernodal factor
 // this counts the packed panel values, the shared symbolic structure
-// (row lists, panel offsets, the precomputed update-edge and scatter
-// routing: int32 rel/scat lists plus the fixed per-edge records), and
-// the transient numeric-run scratch reported by ScratchBytes — the
-// per-worker dense update blocks, DAG run state, and solve buffers that
-// earlier accountings missed.
+// (the int32 row slab, panel offsets, the precomputed update-edge and
+// scatter routing: int32 rel/scat lists plus the fixed per-edge
+// records), and the transient numeric-run scratch reported by
+// ScratchBytes — the per-worker dense update blocks, DAG run state, and
+// solve buffers that earlier accountings missed.
 func (f *Factor) Bytes() int64 {
 	if f.super != nil {
 		ss := f.super.ss
 		b := int64(len(f.super.val)) * 8 // panel values
-		for _, r := range ss.rows {
-			b += int64(len(r)) * 8 // row lists (shared with other factors)
-		}
-		b += int64(len(ss.off)+2*len(ss.sn.Super)) * 8
+		b += int64(len(ss.rows)) * 4     // int32 row slab (shared with other factors)
+		b += int64(len(ss.rowPtr)+len(ss.off)+2*len(ss.sn.Super)) * 8
 		b += int64(ss.edgeInts) * 4 // rel + scat int32 storage
 		for _, es := range ss.updaters {
 			b += int64(len(es)) * 40 // per-edge record incl. slice header

@@ -35,7 +35,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
+	"slices"
 
 	"repro/internal/dense"
 	"repro/internal/order"
@@ -68,13 +68,16 @@ type updEdge struct {
 type superSymbolic struct {
 	sym *order.Symbolic
 	sn  *order.Supernodes
-	// rows[s] lists the global row indices of supernode s's trapezoid in
-	// ascending order; the first Width(s) entries are the panel's own
-	// columns, the rest the below-diagonal structure of its last column.
-	rows [][]int
+	// rows holds every supernode's trapezoid row list back to back in
+	// one int32 slab; supernode s's list is rows[rowPtr[s]:rowPtr[s+1]]
+	// (see rowList), its global row indices in ascending order: the
+	// first Width(s) entries are the panel's own columns, the rest the
+	// below-diagonal structure of its last column.
+	rows   []int32
+	rowPtr []int
 	// off[s] is the offset of panel s in the packed value storage; panel
-	// s occupies off[s+1]-off[s] = len(rows[s])*Width(s) entries,
-	// column-major (local column j starts at off[s]+j*len(rows[s])).
+	// s occupies off[s+1]-off[s] = h*Width(s) entries for its row count
+	// h, column-major (local column j starts at off[s]+j*h).
 	off []int
 	// updaters[s] lists, ascending by descendant, the precomputed update
 	// edges of the supernodes d < s whose below rows intersect s's
@@ -121,17 +124,31 @@ func analyzeSuper(a *sparse.CSR, sym *order.Symbolic, maxWidth int) (*superSymbo
 	ns := sn.NSuper()
 	ss := &superSymbolic{sym: sym, sn: sn}
 
-	// Below-diagonal rows per supernode: k belongs to below(s) exactly
-	// when the last column of s appears in the elimination reach of row
-	// k, i.e. L[k, last(s)] is structurally nonzero. One EReach sweep
-	// over all rows (ascending k, so each list comes out sorted) gives
-	// every list.
+	// Row lists: supernode s's trapezoid has its w own columns plus the
+	// below-diagonal structure of its last column, whose size the
+	// symbolic column counts already give, so the slab is laid out up
+	// front. k belongs to below(s) exactly when the last column of s
+	// appears in the elimination reach of row k, i.e. L[k, last(s)] is
+	// structurally nonzero; one EReach sweep over all rows (ascending k,
+	// so each list comes out sorted) fills every list through its
+	// cursor fill[s].
+	ss.rowPtr = make([]int, ns+1)
+	for s := 0; s < ns; s++ {
+		last := sn.Super[s+1] - 1
+		ss.rowPtr[s+1] = ss.rowPtr[s] + sn.Width(s) + sym.ColPtr[last+1] - sym.ColPtr[last] - 1
+	}
+	ss.rows = make([]int32, ss.rowPtr[ns])
+	fill := make([]int, ns)
 	isLast := make([]bool, n)
-	for s := 1; s <= ns; s++ {
-		isLast[sn.Super[s]-1] = true
+	for s := 0; s < ns; s++ {
+		c0, w := sn.Super[s], sn.Width(s)
+		for j := 0; j < w; j++ {
+			ss.rows[ss.rowPtr[s]+j] = int32(c0 + j)
+		}
+		fill[s] = ss.rowPtr[s] + w
+		isLast[c0+w-1] = true
 	}
 	upper := a.UpperCSC()
-	below := make([][]int, ns)
 	stack := make([]int, n)
 	work := make([]int, n)
 	for i := range work {
@@ -142,22 +159,22 @@ func analyzeSuper(a *sparse.CSR, sym *order.Symbolic, maxWidth int) (*superSymbo
 		for t := top; t < n; t++ {
 			if j := stack[t]; isLast[j] {
 				d := sn.ColToSuper[j]
-				below[d] = append(below[d], k)
+				if fill[d] == ss.rowPtr[d+1] {
+					return nil, fmt.Errorf("chol: supernode %d has more below rows than its column count", d)
+				}
+				ss.rows[fill[d]] = int32(k)
+				fill[d]++
 			}
 		}
 	}
 
-	ss.rows = make([][]int, ns)
 	ss.off = make([]int, ns+1)
 	for s := 0; s < ns; s++ {
-		c0, w := sn.Super[s], sn.Width(s)
-		rows := make([]int, w+len(below[s]))
-		for j := 0; j < w; j++ {
-			rows[j] = c0 + j
+		if fill[s] != ss.rowPtr[s+1] {
+			return nil, fmt.Errorf("chol: supernode %d has fewer below rows than its column count", s)
 		}
-		copy(rows[w:], below[s])
-		ss.rows[s] = rows
-		h := len(rows)
+		w := sn.Width(s)
+		h := ss.rowPtr[s+1] - ss.rowPtr[s]
 		ss.off[s+1] = ss.off[s] + h*w
 		ss.trapNNZ += h*w - w*(w-1)/2
 		if h > ss.maxRows {
@@ -180,7 +197,7 @@ func analyzeSuper(a *sparse.CSR, sym *order.Symbolic, maxWidth int) (*superSymbo
 	for d := 0; d < ns; d++ {
 		w := sn.Width(d)
 		prev := -1
-		for _, r := range ss.rows[d][w:] {
+		for _, r := range ss.rowList(d)[w:] {
 			if t := sn.ColToSuper[r]; t != prev {
 				updlist[t] = append(updlist[t], int32(d))
 				prev = t
@@ -200,16 +217,16 @@ func analyzeSuper(a *sparse.CSR, sym *order.Symbolic, maxWidth int) (*superSymbo
 	ss.scat = make([][]int32, ns)
 	for s := 0; s < ns; s++ {
 		c0, w := sn.Super[s], sn.Width(s)
-		rows := ss.rows[s]
+		rows := ss.rowList(s)
 		h := len(rows)
 		for i, r := range rows {
 			relmap[r] = int32(i)
 		}
 		edges := make([]updEdge, len(updlist[s]))
 		for ei, d32 := range updlist[s] {
-			rd := ss.rows[d32]
-			lo := sort.SearchInts(rd, c0)
-			mid := sort.SearchInts(rd, c0+w)
+			rd := ss.rowList(int(d32))
+			lo, _ := slices.BinarySearch(rd, int32(c0))
+			mid, _ := slices.BinarySearch(rd, int32(c0+w))
 			nr := len(rd) - lo
 			e := updEdge{d: d32, lo: int32(lo), mid: int32(mid), base: relmap[rd[lo]]}
 			for i := 1; i < nr; i++ {
@@ -279,6 +296,12 @@ type superFactor struct {
 	// scratchBytes is the transient memory of the numeric run (dense
 	// update scratch, DAG run state, solve buffers), reported by Bytes.
 	scratchBytes int64
+}
+
+// rowList returns supernode s's trapezoid row list, a slice of the
+// shared slab.
+func (ss *superSymbolic) rowList(s int) []int32 {
+	return ss.rows[ss.rowPtr[s]:ss.rowPtr[s+1]]
 }
 
 func (sf *superFactor) panel(s int) []float64 {
@@ -444,7 +467,7 @@ func cscatterSub(P []complex128, h int, C []complex128, hC, wC int, e *updEdge) 
 func (sf *superFactor) factorPanel(a *sparse.CSR, s int, sc *superScratch) error {
 	ss := sf.ss
 	c0, w := ss.sn.Super[s], ss.sn.Width(s)
-	h := len(ss.rows[s])
+	h := ss.rowPtr[s+1] - ss.rowPtr[s]
 	P := sf.panel(s)
 
 	scat := ss.scat[s]
@@ -460,7 +483,7 @@ func (sf *superFactor) factorPanel(a *sparse.CSR, s int, sc *superScratch) error
 	// scratch and subtract it through the precomputed routing.
 	for ei := range ss.updaters[s] {
 		e := &ss.updaters[s][ei]
-		hd := len(ss.rows[e.d])
+		hd := ss.rowPtr[e.d+1] - ss.rowPtr[e.d]
 		wd := ss.sn.Width(int(e.d))
 		lo := int(e.lo)
 		hC := hd - lo
@@ -512,14 +535,36 @@ func (sf *superFactor) factorPanel(a *sparse.CSR, s int, sc *superScratch) error
 // panel on the outside so each panel is loaded once per batch. Per
 // panel and column: a dense trsv on the contiguous in-block segment,
 // then the below-block product accumulated densely in buf (len ≥
-// maxRows) and scattered through the row list.
+// maxRows) and scattered through the row list. A width-1 panel — most
+// panels of a 2-D grid's factor — runs the same arithmetic fused: the
+// pivot divide, then each below entry's x[r] -= 0 + xⱼ·a[i] straight
+// into x, where the 0 + is the cleared accumulator the generic path
+// adds the product to (it turns a −0 product into +0) and xⱼ == 0 skips
+// the column exactly as the gemv kernel does.
 func (sf *superFactor) lsolveRange(rhs []float64, n, lo, hi int, buf []float64) {
 	ss := sf.ss
 	for s := 0; s < ss.sn.NSuper(); s++ {
 		c0, w := ss.sn.Super[s], ss.sn.Width(s)
-		rows := ss.rows[s]
+		rows := ss.rowList(s)
 		h := len(rows)
 		P := sf.panel(s)
+		if w == 1 {
+			d := P[0]
+			below := rows[1:]
+			a := P[1:h][:len(below)]
+			for c := lo; c < hi; c++ {
+				x := rhs[c*n : (c+1)*n]
+				xj := x[c0] / d
+				x[c0] = xj
+				if xj == 0 {
+					continue
+				}
+				for i, r := range below {
+					x[r] -= 0 + xj*a[i]
+				}
+			}
+			continue
+		}
 		hb := h - w
 		for c := lo; c < hi; c++ {
 			x := rhs[c*n : (c+1)*n]
@@ -540,14 +585,30 @@ func (sf *superFactor) lsolveRange(rhs []float64, n, lo, hi int, buf []float64) 
 // ltsolveRange runs the backward solve for RHS columns [lo, hi): per
 // panel and column, gather the below entries into buf, subtract the
 // transposed below-block product from the in-block segment, then the
-// dense transposed trsv.
+// dense transposed trsv. A width-1 panel fuses the gather into one
+// sequential dot product Σ a[i]·x[r] from +0, ascending i as the gemv
+// kernel's scalar tail sums it, then x[c0] = (x[c0] − s)/d.
 func (sf *superFactor) ltsolveRange(rhs []float64, n, lo, hi int, buf []float64) {
 	ss := sf.ss
 	for s := ss.sn.NSuper() - 1; s >= 0; s-- {
 		c0, w := ss.sn.Super[s], ss.sn.Width(s)
-		rows := ss.rows[s]
+		rows := ss.rowList(s)
 		h := len(rows)
 		P := sf.panel(s)
+		if w == 1 {
+			d := P[0]
+			below := rows[1:]
+			a := P[1:h][:len(below)]
+			for c := lo; c < hi; c++ {
+				x := rhs[c*n : (c+1)*n]
+				var sum float64
+				for i, r := range below {
+					sum += a[i] * x[r]
+				}
+				x[c0] = (x[c0] - sum) / d
+			}
+			continue
+		}
 		hb := h - w
 		for c := lo; c < hi; c++ {
 			x := rhs[c*n : (c+1)*n]
@@ -742,7 +803,7 @@ func (ss *superSymbolic) factorizeComplex(pattern *sparse.CSR, val func(p int) c
 func (sf *superComplexFactor) factorPanel(val func(p int) complex128, s int, sc *superScratch) error {
 	ss := sf.ss
 	c0, w := ss.sn.Super[s], ss.sn.Width(s)
-	h := len(ss.rows[s])
+	h := ss.rowPtr[s+1] - ss.rowPtr[s]
 	P := sf.panel(s)
 
 	scat := ss.scat[s]
@@ -755,7 +816,7 @@ func (sf *superComplexFactor) factorPanel(val func(p int) complex128, s int, sc 
 	for ei := range ss.updaters[s] {
 		e := &ss.updaters[s][ei]
 		dsn := int(e.d)
-		hd := len(ss.rows[dsn])
+		hd := ss.rowPtr[dsn+1] - ss.rowPtr[dsn]
 		wd := ss.sn.Width(dsn)
 		d0 := ss.sn.Super[dsn]
 		lo := int(e.lo)
@@ -810,7 +871,7 @@ func (sf *superComplexFactor) solveRange(rhs []complex128, n, lo, hi int, buf []
 	ns := ss.sn.NSuper()
 	for s := 0; s < ns; s++ {
 		c0, w := ss.sn.Super[s], ss.sn.Width(s)
-		rows := ss.rows[s]
+		rows := ss.rowList(s)
 		h := len(rows)
 		P := sf.panel(s)
 		hb := h - w
@@ -836,7 +897,7 @@ func (sf *superComplexFactor) solveRange(rhs []complex128, n, lo, hi int, buf []
 	}
 	for s := ns - 1; s >= 0; s-- {
 		c0, w := ss.sn.Super[s], ss.sn.Width(s)
-		rows := ss.rows[s]
+		rows := ss.rowList(s)
 		h := len(rows)
 		P := sf.panel(s)
 		hb := h - w

@@ -71,7 +71,7 @@ func denseL(f *Factor) [][]float64 {
 	ss := f.super.ss
 	for s := 0; s < ss.sn.NSuper(); s++ {
 		c0, w := ss.sn.Super[s], ss.sn.Width(s)
-		rows := ss.rows[s]
+		rows := ss.rowList(s)
 		h := len(rows)
 		P := f.super.panel(s)
 		for j := 0; j < w; j++ {

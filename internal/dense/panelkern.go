@@ -19,7 +19,9 @@
 // and at every GOMAXPROCS regardless of how callers schedule panels
 // onto workers. Structural zeros are skipped only in whole quads (or
 // whole scalar-tail terms), which adds exact zeros and never reorders
-// the surviving terms.
+// the surviving terms. Column slices are resliced to the destination's
+// length where that lets the compiler drop the inner loops' bounds
+// checks.
 package dense
 
 // RankKTrapAccum accumulates the lower trapezoid of a symmetric rank-wd
@@ -172,10 +174,10 @@ func GemvBelowAccum(y []float64, P []float64, h, w int, x []float64) {
 		if f0 == 0 && f1 == 0 && f2 == 0 && f3 == 0 {
 			continue
 		}
-		a0 := P[j*h+w : j*h+h]
-		a1 := P[(j+1)*h+w : (j+1)*h+h]
-		a2 := P[(j+2)*h+w : (j+2)*h+h]
-		a3 := P[(j+3)*h+w : (j+3)*h+h]
+		a0 := P[j*h+w : j*h+h][:len(y)]
+		a1 := P[(j+1)*h+w : (j+1)*h+h][:len(y)]
+		a2 := P[(j+2)*h+w : (j+2)*h+h][:len(y)]
+		a3 := P[(j+3)*h+w : (j+3)*h+h][:len(y)]
 		for i := range y {
 			y[i] += f0*a0[i] + f1*a1[i] + f2*a2[i] + f3*a3[i]
 		}
@@ -185,7 +187,7 @@ func GemvBelowAccum(y []float64, P []float64, h, w int, x []float64) {
 		if f0 == 0 {
 			continue
 		}
-		a0 := P[j*h+w : j*h+h]
+		a0 := P[j*h+w : j*h+h][:len(y)]
 		for i := range y {
 			y[i] += f0 * a0[i]
 		}
@@ -205,10 +207,10 @@ func GemvBelowTransSub(x []float64, P []float64, h, w int, yb []float64) {
 	yb = yb[:hb]
 	j := 0
 	for ; j+4 <= w; j += 4 {
-		a0 := P[j*h+w : j*h+h]
-		a1 := P[(j+1)*h+w : (j+1)*h+h]
-		a2 := P[(j+2)*h+w : (j+2)*h+h]
-		a3 := P[(j+3)*h+w : (j+3)*h+h]
+		a0 := P[j*h+w : j*h+h][:len(yb)]
+		a1 := P[(j+1)*h+w : (j+1)*h+h][:len(yb)]
+		a2 := P[(j+2)*h+w : (j+2)*h+h][:len(yb)]
+		a3 := P[(j+3)*h+w : (j+3)*h+h][:len(yb)]
 		var s0, s1, s2, s3 float64
 		for i, v := range yb {
 			s0 += a0[i] * v
@@ -222,7 +224,7 @@ func GemvBelowTransSub(x []float64, P []float64, h, w int, yb []float64) {
 		x[j+3] -= s3
 	}
 	for ; j < w; j++ {
-		a0 := P[j*h+w : j*h+h]
+		a0 := P[j*h+w : j*h+h][:len(yb)]
 		var s0 float64
 		for i, v := range yb {
 			s0 += a0[i] * v
