@@ -13,7 +13,7 @@ import (
 // realized R and C cards, about half of whose values fall outside the
 // engineering-suffix range [1e-15, 1e15):
 //
-//	go test ./internal/netlist -run '^$' -bench 'FormatValue|DeckWrite'
+//	go test ./internal/netlist -run '^$' -bench 'FormatValue|Deck'
 const benchCards = 66_374
 
 // realizedValues returns n values of realized-element magnitudes: half
@@ -51,8 +51,11 @@ func BenchmarkFormatValue(b *testing.B) {
 	}
 }
 
-func BenchmarkDeckWrite(b *testing.B) {
-	vals := realizedValues(benchCards)
+// realizedDeck is a reduced deck of the 256-port wide-band shape: n
+// alternating R and C cards over 256 port and 48 internal nodes, valued
+// by realizedValues.
+func realizedDeck(n int) *Deck {
+	vals := realizedValues(n)
 	names := make([]string, 256+48)
 	for i := range names {
 		if i < 256 {
@@ -71,11 +74,27 @@ func BenchmarkDeckWrite(b *testing.B) {
 			d.Elements = append(d.Elements, &Capacitor{Ident: "cpact" + id, N1: n1, N2: Ground, Value: v})
 		}
 	}
+	return d
+}
+
+func BenchmarkDeckWrite(b *testing.B) {
+	d := realizedDeck(benchCards)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := d.Write(io.Discard); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDeckString(b *testing.B) {
+	d := realizedDeck(benchCards)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d.String() == "" {
+			b.Fatal("empty rendering")
 		}
 	}
 }

@@ -561,11 +561,53 @@ func writeCard(bw *bufio.Writer, line []byte, e Element) []byte {
 	return line
 }
 
-// String renders the deck as SPICE text.
+// String renders the deck as SPICE text. The builder is grown once to
+// sizeHint, which bounds a realized deck's text from above, so the call
+// allocates about its output once instead of regrowing across the deck.
 func (d *Deck) String() string {
 	var b strings.Builder
+	b.Grow(d.sizeHint())
 	if err := d.Write(&b); err != nil {
 		return ""
 	}
 	return b.String()
+}
+
+// otherCardHint is sizeHint's allowance for a card whose text only its
+// Card method renders: models, subcircuit headers, and elements other
+// than resistors and capacitors. It is a guess; a deck of many such
+// cards may regrow the builder, which costs allocations, not bytes.
+const otherCardHint = 64
+
+// sizeHint estimates the length of d's SPICE text: exact for the title,
+// controls, .end and the fields of every R and C card, maxValueLen for
+// each card's value, and otherCardHint for every other card. It counts
+// subcircuits Write skips as unreferenced, so for a deck of R and C
+// cards, every realized deck, it is an upper bound.
+func (d *Deck) sizeHint() int {
+	n := len(d.Title) + 1 + otherCardHint*len(d.Models) + elementsHint(d.Elements) + len(".end\n")
+	for _, sub := range d.Subckts {
+		n += otherCardHint + elementsHint(sub.Elements) + len(".ends\n")
+	}
+	for _, c := range d.Controls {
+		n += len(c) + 1
+	}
+	return n
+}
+
+// elementsHint is sizeHint's share for one element list: ident, the two
+// nodes, three separators, the value and the newline of each R or C card.
+func elementsHint(elems []Element) int {
+	n := 0
+	for _, e := range elems {
+		switch x := e.(type) {
+		case *Resistor:
+			n += len(x.Ident) + len(x.N1) + len(x.N2) + 4 + maxValueLen
+		case *Capacitor:
+			n += len(x.Ident) + len(x.N1) + len(x.N2) + 4 + maxValueLen
+		default:
+			n += otherCardHint
+		}
+	}
+	return n
 }

@@ -107,6 +107,14 @@ func FormatValue(v float64) string {
 	return string(AppendValue(buf[:0], v))
 }
 
+// maxValueLen bounds the length of AppendValue's output for any
+// float64. The longest token is the shortest exact 'g' form of a
+// negative value in exponent notation: sign, 17 significant digits,
+// the point and "e-308", 24 bytes. The engineering forms are shorter
+// (a mantissa below 1000 with at most 17 digits, sign and point, plus
+// at most the three-letter "meg"), and so are ±Inf and NaN.
+const maxValueLen = 24
+
 // AppendValue appends FormatValue(v) to dst and returns the extended
 // slice. It is the writer's form: it decides every round trip from the
 // mantissa's parsed value times the suffix multiplier, which is what

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -185,6 +186,11 @@ func TestFormatValueOracleSweep(t *testing.T) {
 	oracleSweep(func(v float64) {
 		count++
 		want := formatValueRef(v)
+		if len(want) > maxValueLen {
+			if bad++; bad <= 10 {
+				t.Errorf("FormatValue(%v) = %q is longer than maxValueLen %d", v, want, maxValueLen)
+			}
+		}
 		if got := FormatValue(v); got != want {
 			if bad++; bad <= 10 {
 				t.Errorf("FormatValue(%v) [%#x] = %q, reference %q", v, math.Float64bits(v), got, want)
@@ -289,10 +295,33 @@ func TestWriteOracleCards(t *testing.T) {
 		if got.String() != want.String() {
 			t.Fatalf("%s: Write differs from the Fprintln(Card()) rendering:\n got: %q\nwant: %q", name, got.String(), want.String())
 		}
+		if s := d.String(); s != want.String() {
+			t.Fatalf("%s: String differs from the Fprintln(Card()) rendering:\n got: %q\nwant: %q", name, s, want.String())
+		}
 		for _, e := range d.Elements {
 			if got, want := e.Card(), cardRef(e); got != want {
 				t.Fatalf("%s: %s.Card() = %q, reference %q", name, e.Name(), got, want)
 			}
 		}
 	}
+}
+
+// TestDeckStringAllocBound bounds the bytes one String call allocates on
+// the 66k-card realized deck at 1.5× its output: the builder is sized
+// once from the deck instead of regrowing across it.
+func TestDeckStringAllocBound(t *testing.T) {
+	d := realizedDeck(benchCards)
+	want := d.String()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := d.String()
+	runtime.ReadMemStats(&after)
+	if got != want {
+		t.Fatal("String rendered the deck differently on a second call")
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if limit := 1.5 * float64(len(got)); float64(alloc) > limit {
+		t.Fatalf("String allocated %d bytes for %d bytes of output, limit %.0f", alloc, len(got), limit)
+	}
+	t.Logf("String allocated %d bytes for %d bytes of output (%.3f×)", alloc, len(got), float64(alloc)/float64(len(got)))
 }

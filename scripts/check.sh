@@ -80,8 +80,10 @@ leg "kernel-oracle leg (micro-kernels vs naive references, run twice)"
 # defeats the test cache and catches any run-order or leftover-state
 # dependence in the kernels' scratch reuse. internal/stamp rides along
 # for the interned Extract against its string-map oracle (node order,
-# element partition, Float64bits-equal blocks).
-go test ./internal/dense/... ./internal/chol/... ./internal/stamp/ -run Oracle -count=2
+# element partition, Float64bits-equal blocks); internal/netlist for the
+# writer oracles (TestFormatValueOracleSweep, TestWriteOracleCards),
+# which cover the line buffer every card write reuses.
+go test ./internal/dense/... ./internal/chol/... ./internal/stamp/ ./internal/netlist/ -run Oracle -count=2
 
 leg "invariant-checked tests (-tags pactcheck)"
 go test -tags pactcheck ./internal/check/ ./internal/core/ ./internal/prima/ \
