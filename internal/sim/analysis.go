@@ -474,23 +474,6 @@ func (c *Circuit) singleStep(ctx context.Context, x []float64, t, h float64, use
 	return nil
 }
 
-// capState snapshots the capacitor companion states.
-func (c *Circuit) capState() (v, i []float64) {
-	v = make([]float64, len(c.caps))
-	i = make([]float64, len(c.caps))
-	for k := range c.caps {
-		v[k], i[k] = c.caps[k].vPrev, c.caps[k].iPrev
-	}
-	return v, i
-}
-
-// restoreCapState restores a capState snapshot.
-func (c *Circuit) restoreCapState(v, i []float64) {
-	for k := range c.caps {
-		c.caps[k].vPrev, c.caps[k].iPrev = v[k], i[k]
-	}
-}
-
 // advance integrates one step of size h starting at time t, updating x
 // and the capacitor states. depth guards the recursive step halving on
 // Newton failure.

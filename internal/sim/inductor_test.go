@@ -86,29 +86,41 @@ r1 d 0 50
 	}
 }
 
-func TestInductorAdaptiveMatchesFixed(t *testing.T) {
-	deck := `rl adaptive
+// TestInductorRLFixedStepConverges drives the series RL step of
+// TestInductorRLStepResponse at three fixed steps and checks the
+// inductor voltage against the analytic v_b = 5·e^(−tR/L) at grid
+// times: the error must fall as the square of the step (the
+// trapezoidal rule is second order), and at h = τ/400 it must be below
+// 20 µV.
+func TestInductorRLFixedStepConverges(t *testing.T) {
+	deck := `rl fixed
 v1 a 0 dc 0 pulse(0 5 0 1p 1p 1 2)
 r1 a b 1k
 l1 b 0 1m
 .end
 `
-	cA := mustBuild(t, deck)
-	resA, err := cA.TransientAdaptive(5e-6, 1e-9, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cF := mustBuild(t, deck)
-	resF, err := cF.Transient(5e-6, 5e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ia, _ := cA.NodeIndex("b")
-	ifx, _ := cF.NodeIndex("b")
-	for _, tt := range []float64{0.5e-6, 1e-6, 3e-6} {
-		if d := math.Abs(resA.At(ia, tt) - resF.At(ifx, tt)); d > 0.05 {
-			t.Fatalf("t=%g: adaptive vs fixed differ by %v", tt, d)
+	tau := 1e-3 / 1e3 // L/R
+	maxErr := func(h float64) float64 {
+		c := mustBuild(t, deck)
+		res, err := c.Transient(5e-6, h)
+		if err != nil {
+			t.Fatal(err)
 		}
+		idx, _ := c.NodeIndex("b")
+		worst := 0.0
+		for _, tt := range []float64{0.5e-6, 1e-6, 3e-6} {
+			worst = math.Max(worst, math.Abs(res.At(idx, tt)-5*math.Exp(-tt/tau)))
+		}
+		return worst
+	}
+	e20, e10, e5 := maxErr(20e-9), maxErr(10e-9), maxErr(2.5e-9)
+	t.Logf("max |v_b − 5·e^(−t/τ)|: h=20ns %.3g, 10ns %.3g, 2.5ns %.3g", e20, e10, e5)
+	// Halving the step must cut the error about 4×, quartering it 16×.
+	if e20/e10 < 3 || e10/e5 < 12 {
+		t.Fatalf("error does not fall as h²: %.3g, %.3g, %.3g", e20, e10, e5)
+	}
+	if e5 > 2e-5 {
+		t.Fatalf("h=2.5ns: error %.3g V, want below 20 µV", e5)
 	}
 }
 

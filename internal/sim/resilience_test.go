@@ -47,12 +47,6 @@ func TestTransientCtxPreCanceled(t *testing.T) {
 	wantCanceledAt(t, err, resilience.StageTransient)
 }
 
-func TestTransientAdaptiveCtxPreCanceled(t *testing.T) {
-	c := mustBuild(t, rcDeck)
-	_, err := c.TransientAdaptiveCtx(preCanceled(t), 10e-3, 1e-5, 0)
-	wantCanceledAt(t, err, resilience.StageTransient)
-}
-
 func TestACCtxPreCanceled(t *testing.T) {
 	c := mustBuild(t, rcDeck)
 	_, err := c.ACCtx(preCanceled(t), []float64{1, 10, 100})
