@@ -123,7 +123,7 @@ func BenchmarkSymbolicAndFactor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sym := order.Analyze(sys.D, order.MinimumDegree)
+		sym, _ := order.Analyze(sys.D, order.MinimumDegree)
 		if _, _, err := core.Transform1(sys, core.Options{FMax: 1e9, Ordering: order.MinimumDegree}); err != nil {
 			b.Fatal(err)
 		}

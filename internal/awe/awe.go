@@ -36,8 +36,7 @@ func Moments(g, c *sparse.CSR, b, l []float64, count int) ([]float64, error) {
 	if g.Cols != n || c.Rows != n || c.Cols != n || len(b) != n || len(l) != n {
 		return nil, errors.New("awe: dimension mismatch")
 	}
-	sym := order.Analyze(g, order.MinimumDegree)
-	gp := g.PermuteSym(sym.Perm)
+	sym, gp := order.Analyze(g, order.MinimumDegree)
 	f, err := chol.Factorize(gp, sym)
 	if err != nil {
 		return nil, fmt.Errorf("awe: conductance factorization: %w", err)

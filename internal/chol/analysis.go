@@ -30,8 +30,9 @@ type Analysis struct {
 }
 
 // Analyze performs the symbolic analysis for repeated factorizations of
-// the given (already ordered) full symmetric pattern and its symbolic
-// factorization. Orders at or above supernodalMinOrder additionally get
+// the given ordered full symmetric pattern and its symbolic
+// factorization: the pair order.Analyze returns (sym, pat :=
+// order.Analyze(a, method)). Orders at or above supernodalMinOrder additionally get
 // the supernode partition, so every subsequent factorization runs
 // the blocked DAG-scheduled kernel; smaller orders run the scalar
 // up-looking kernel.

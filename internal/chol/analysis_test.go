@@ -41,11 +41,10 @@ func TestAnalyzeShiftedSimplicialMatchesDense(t *testing.T) {
 		e := randomSPD(rng, n, n)
 		e.Scale(1e-2)
 		s := complex(0, 1+1e2*rng.Float64())
-		sym0 := order.Analyze(sparse.PatternUnion(d, e), order.MinimumDegree)
+		sym0, pat := order.Analyze(sparse.PatternUnion(d, e), order.MinimumDegree)
 		dp := d.PermuteSym(sym0.Perm)
 		ep := e.PermuteSym(sym0.Perm)
-		pat := sparse.PatternUnion(dp, ep)
-		sym := order.Analyze(pat, order.Natural)
+		sym, _ := order.Analyze(pat, order.Natural)
 		sa, err := Analyze(pat, sym)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -90,11 +89,10 @@ func TestAnalyzeShiftedSupernodalDispatch(t *testing.T) {
 	e := randomSPD(rng, n, n)
 	e.Scale(1e-2)
 	s := complex(0, 42.5)
-	sym0 := order.Analyze(sparse.PatternUnion(d, e), order.MinimumDegree)
+	sym0, pat := order.Analyze(sparse.PatternUnion(d, e), order.MinimumDegree)
 	dp := d.PermuteSym(sym0.Perm)
 	ep := e.PermuteSym(sym0.Perm)
-	pat := sparse.PatternUnion(dp, ep)
-	sym := order.Analyze(pat, order.Natural)
+	sym, _ := order.Analyze(pat, order.Natural)
 	sa, err := Analyze(pat, sym)
 	if err != nil {
 		t.Fatal(err)

@@ -60,8 +60,7 @@ func BenchmarkKernelThreshold(b *testing.B) {
 		{"mesh3d", meshSPD3(8, 8, 8)},
 		{"mesh3d", meshSPD3(13, 13, 9)},
 	} {
-		sym := order.Analyze(m.a, order.MinimumDegree)
-		ap := m.a.PermuteSym(sym.Perm)
+		sym, ap := order.Analyze(m.a, order.MinimumDegree)
 		ss, err := analyzeSuper(ap, sym, order.DefaultMaxWidth)
 		if err != nil {
 			b.Fatal(err)
@@ -105,8 +104,7 @@ const benchRHS = 25
 // it once, returning the permuted matrix, the analysis and the factor.
 func analyzeBench(b *testing.B, a *sparse.CSR) (*sparse.CSR, *Analysis, *Factor) {
 	b.Helper()
-	sym := order.Analyze(a, order.MinimumDegree)
-	ap := a.PermuteSym(sym.Perm)
+	sym, ap := order.Analyze(a, order.MinimumDegree)
 	an, err := Analyze(ap, sym)
 	if err != nil {
 		b.Fatal(err)

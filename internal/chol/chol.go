@@ -49,12 +49,11 @@ func (f *Factor) order() int {
 }
 
 // Factorize computes the Cholesky factorization A = LLᵀ of the symmetric
-// positive definite matrix A (full pattern CSR, already permuted into its
-// final order) using the symbolic analysis sym, which must have been
-// computed for the same (permuted) pattern — i.e. order.Analyze(...).Perm was
-// already applied by the caller, or the pattern was analyzed with
-// order.Natural. It is Analyze followed by one Analysis.Factorize, for
-// callers that factor a pattern once.
+// positive definite matrix A (full pattern CSR) using the symbolic
+// analysis sym, which must describe A's pattern exactly: A is the
+// permuted matrix order.Analyze returns with sym (sym, ap :=
+// order.Analyze(a, method); Factorize(ap, sym)). It is Analyze followed
+// by one Analysis.Factorize, for callers that factor a pattern once.
 func Factorize(a *sparse.CSR, sym *order.Symbolic) (*Factor, error) {
 	an, err := Analyze(a, sym)
 	if err != nil {
@@ -252,8 +251,9 @@ func (f *ComplexFactor) order() int {
 // val callback, which receives the position of each stored pattern
 // entry. sym must be the symbolic analysis of the same pattern.
 //
-// The intended use is A(s) = D + sE: the pattern is PatternUnion(D, E) and
-// val(p) = Dval(p) + s*Eval(p).
+// The intended use is A(s) = D + sE: the pattern is the ordered
+// PatternUnion(D, E) order.Analyze returns, and val(p) = Dval(p) +
+// s*Eval(p).
 func factorizeComplexUpLooking(pattern *sparse.CSR, val func(p int) complex128, sym *order.Symbolic) (*ComplexFactor, error) {
 	n := pattern.Rows
 	if pattern.Cols != n || sym.N != n {

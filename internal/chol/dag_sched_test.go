@@ -16,8 +16,7 @@ import (
 func analyzeMeshSuper(t *testing.T, nx, ny int) (*superSymbolic, *sparse.CSR) {
 	t.Helper()
 	a := meshSPD(nx, ny)
-	sym := order.Analyze(a, order.MinimumDegree)
-	ap := a.PermuteSym(sym.Perm)
+	sym, ap := order.Analyze(a, order.MinimumDegree)
 	ss, err := analyzeSuper(ap, sym, order.DefaultMaxWidth)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +160,7 @@ func TestDAGScheduleErrorDeterministic(t *testing.T) {
 			a.Val[p] = -5
 		}
 	}
-	sym := order.Analyze(a, order.MinimumDegree)
-	ap := a.PermuteSym(sym.Perm)
+	sym, ap := order.Analyze(a, order.MinimumDegree)
 	ss, err := analyzeSuper(ap, sym, order.DefaultMaxWidth)
 	if err != nil {
 		t.Fatal(err)

@@ -18,8 +18,7 @@ import (
 // complex factorization.
 func TestInjectedDAGTaskFailureDrainsDeterministically(t *testing.T) {
 	a := meshSPD(24, 24)
-	sym := order.Analyze(a, order.MinimumDegree)
-	ap := a.PermuteSym(sym.Perm)
+	sym, ap := order.Analyze(a, order.MinimumDegree)
 	ss, err := analyzeSuper(ap, sym, order.DefaultMaxWidth)
 	if err != nil {
 		t.Fatal(err)

@@ -89,8 +89,7 @@ func narrowPanelFactors(t *testing.T) []narrowPanelFactor {
 		{"mesh2d/24x24", meshSPD(24, 24), true},
 		{"mesh3d/8x8x8", meshSPD3(8, 8, 8), false},
 	} {
-		sym := order.Analyze(lat.a, order.MinimumDegree)
-		ap := lat.a.PermuteSym(sym.Perm)
+		sym, ap := order.Analyze(lat.a, order.MinimumDegree)
 		for _, width := range []int{1, 2, 3, 5, order.DefaultMaxWidth} {
 			name := fmt.Sprintf("%s/maxw%d", lat.name, width)
 			ss, err := analyzeSuper(ap, sym, width)

@@ -36,6 +36,7 @@ import (
 	"math"
 	"math/cmplx"
 	"slices"
+	"sync"
 
 	"repro/internal/dense"
 	"repro/internal/order"
@@ -296,6 +297,11 @@ type superFactor struct {
 	// scratchBytes is the transient memory of the numeric run (dense
 	// update scratch, DAG run state, solve buffers), reported by Bytes.
 	scratchBytes int64
+	// solveBufs pools the maxRows buffers of single-vector solves, so
+	// repeated calls allocate nothing in steady state and concurrent
+	// calls on one factor (Lanczos applying E′ from several goroutines)
+	// each hold their own buffer.
+	solveBufs sync.Pool
 }
 
 // rowList returns supernode s's trapezoid row list, a slice of the
@@ -369,7 +375,7 @@ func (ss *superSymbolic) factorize(a *sparse.CSR, ws *FactorWorkspace) (*Factor,
 	if err := ss.runDAG(ws, workers, errs, body); err != nil {
 		return nil, err
 	}
-	sf.scratchBytes = ss.runBytes(scratch, 8)
+	sf.scratchBytes = ss.runBytes(len(scratch), 8)
 	return &Factor{super: sf}, nil
 }
 
@@ -394,15 +400,15 @@ func (ss *superSymbolic) runDAG(ws *FactorWorkspace, workers int, errs []error, 
 	return nil
 }
 
-// runBytes totals the factorization scratch actually allocated by one
-// numeric run plus the peak per-worker solve buffers the factor's
-// multi-RHS solves will lazily create, for the Bytes memory accounting
-// (elemSize 8 for real, 16 for complex solves).
-func (ss *superSymbolic) runBytes(scratch []*superScratch, elemSize int) int64 {
-	var b int64
-	for _, sc := range scratch {
-		b += sc.bytes()
-	}
+// runBytes totals the scratch of one numeric run on a pool of the given
+// number of workers plus the peak per-worker solve buffers the factor's
+// solves will lazily create, for the Bytes memory accounting (elemSize
+// 8 for real, 16 for complex). Every slot of the pool counts, claimed
+// in this run or not, so the figure depends only on the structure and
+// the pool size, never on which workers the scheduler happened to use.
+func (ss *superSymbolic) runBytes(workers, elemSize int) int64 {
+	slot := int64(ss.maxRows)*int64(ss.maxWidth)*int64(elemSize) + int64(ss.maxWidth)*8 // see newScratch
+	b := int64(workers) * slot
 	b += int64(ss.dag.Len()) * 8    // counts + ready queue
 	b += int64(ss.sn.NSuper()) * 16 // error slots
 	b += int64(par.Workers(ss.sn.NSuper())) * int64(ss.maxRows) * int64(elemSize)
@@ -627,12 +633,27 @@ func (sf *superFactor) ltsolveRange(rhs []float64, n, lo, hi int, buf []float64)
 
 // lsolve solves L x = b in place against the supernodal factor.
 func (sf *superFactor) lsolve(x []float64) {
-	sf.lsolveRange(x, len(x), 0, 1, make([]float64, sf.ss.maxRows))
+	buf := sf.solveBuf()
+	sf.lsolveRange(x, len(x), 0, 1, *buf)
+	sf.solveBufs.Put(buf)
 }
 
 // ltsolve solves Lᵀ x = b in place.
 func (sf *superFactor) ltsolve(x []float64) {
-	sf.ltsolveRange(x, len(x), 0, 1, make([]float64, sf.ss.maxRows))
+	buf := sf.solveBuf()
+	sf.ltsolveRange(x, len(x), 0, 1, *buf)
+	sf.solveBufs.Put(buf)
+}
+
+// solveBuf takes a maxRows solve buffer from the factor's pool,
+// allocating one when the pool is empty. The solves overwrite every
+// entry they read, so a reused buffer cannot change a result.
+func (sf *superFactor) solveBuf() *[]float64 {
+	if buf, ok := sf.solveBufs.Get().(*[]float64); ok {
+		return buf
+	}
+	buf := make([]float64, sf.ss.maxRows)
+	return &buf
 }
 
 // solveMultiChunk is the hand-out granularity of the blocked multi-RHS

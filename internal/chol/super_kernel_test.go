@@ -25,8 +25,7 @@ func TestOracleSupernodalPanelWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	a := meshSPD(19, 17)
 	n := a.Rows
-	sym := order.Analyze(a, order.MinimumDegree)
-	ap := a.PermuteSym(sym.Perm)
+	sym, ap := order.Analyze(a, order.MinimumDegree)
 	fu, err := factorizeUpLooking(ap, sym)
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +74,9 @@ func complexTestSystem(rng *rand.Rand, n int, s complex128) (*sparse.CSR, *order
 	e := randomSPD(rng, n, n)
 	e.Scale(1e-2)
 	pattern := sparse.PatternUnion(d, e)
-	sym := order.Analyze(pattern, order.MinimumDegree)
+	sym, pat := order.Analyze(pattern, order.MinimumDegree)
 	dp := d.PermuteSym(sym.Perm)
 	ep := e.PermuteSym(sym.Perm)
-	pat := sparse.PatternUnion(dp, ep)
 	dv := make([]complex128, len(pat.Val))
 	for i := 0; i < n; i++ {
 		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
@@ -142,8 +140,7 @@ func TestOracleSupernodalDispatchBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, n := range []int{511, 512, 513} {
 		a := randomSPD(rng, n, 3*n)
-		sym := order.Analyze(a, order.MinimumDegree)
-		ap := a.PermuteSym(sym.Perm)
+		sym, ap := order.Analyze(a, order.MinimumDegree)
 		an, err := Analyze(ap, sym)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)

@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/order"
@@ -94,8 +95,7 @@ func TestSupernodalMatchesUpLooking(t *testing.T) {
 		n := 60 + rng.Intn(200)
 		a := randomSPD(rng, n, 4*n)
 		for _, m := range []order.Method{order.Natural, order.RCM, order.MinimumDegree} {
-			sym := order.Analyze(a, m)
-			ap := a.PermuteSym(sym.Perm)
+			sym, ap := order.Analyze(a, m)
 			fs, err := factorizeSupernodal(ap, sym)
 			if err != nil {
 				t.Fatalf("trial %d %v: supernodal: %v", trial, m, err)
@@ -154,8 +154,7 @@ func bitsEqual(t *testing.T, what string, a, b []float64) {
 // a solve through them must be bit-identical at every worker count.
 func TestSupernodalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	a := meshSPD(28, 31)
-	sym := order.Analyze(a, order.MinimumDegree)
-	ap := a.PermuteSym(sym.Perm)
+	sym, ap := order.Analyze(a, order.MinimumDegree)
 	n := a.Rows
 	run := func() ([]float64, []float64) {
 		f, err := factorizeSupernodal(ap, sym)
@@ -185,8 +184,7 @@ func TestSupernodalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // kernels and at several worker counts.
 func TestSolveMultiBitIdenticalToSequential(t *testing.T) {
 	a := meshSPD(17, 23)
-	sym := order.Analyze(a, order.RCM)
-	ap := a.PermuteSym(sym.Perm)
+	sym, ap := order.Analyze(a, order.RCM)
 	n := a.Rows
 	const k = 13
 	rng := rand.New(rand.NewSource(42))
@@ -239,10 +237,9 @@ func TestSupernodalComplexMatchesSimplicial(t *testing.T) {
 		e.Scale(1e-2)
 		s := complex(0, 10+100*rng.Float64())
 		pattern := sparse.PatternUnion(d, e)
-		sym := order.Analyze(pattern, order.MinimumDegree)
+		sym, pat := order.Analyze(pattern, order.MinimumDegree)
 		dp := d.PermuteSym(sym.Perm)
 		ep := e.PermuteSym(sym.Perm)
-		pat := sparse.PatternUnion(dp, ep)
 		// Per-position values, aligned with pat's storage.
 		dv := make([]complex128, len(pat.Val))
 		for i := 0; i < n; i++ {
@@ -318,7 +315,7 @@ func TestSupernodalRejectsIndefinite(t *testing.T) {
 		b.AddSym(i, i+1, -1)
 	}
 	a := b.Build()
-	sym := order.Analyze(a, order.Natural)
+	sym, _ := order.Analyze(a, order.Natural)
 	_, err := factorizeSupernodal(a, sym)
 	if !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
@@ -331,8 +328,8 @@ func TestSupernodalRejectsIndefinite(t *testing.T) {
 func TestFactorizeAutoDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	small := randomSPD(rng, 50, 150)
-	sym := order.Analyze(small, order.Natural)
-	f, err := Factorize(small, sym)
+	sym, sp := order.Analyze(small, order.Natural)
+	f, err := Factorize(sp, sym)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +337,7 @@ func TestFactorizeAutoDispatch(t *testing.T) {
 		t.Fatalf("order 50 took the supernodal path below threshold %d", supernodalMinOrder)
 	}
 	large := meshSPD(24, 24)
-	sym = order.Analyze(large, order.MinimumDegree)
-	lp := large.PermuteSym(sym.Perm)
+	sym, lp := order.Analyze(large, order.MinimumDegree)
 	f, err = Factorize(lp, sym)
 	if err != nil {
 		t.Fatal(err)
@@ -351,5 +347,92 @@ func TestFactorizeAutoDispatch(t *testing.T) {
 	}
 	if f.Bytes() <= 0 || f.FlopEstimate() <= 0 {
 		t.Fatalf("supernodal stats: Bytes=%d FlopEstimate=%g", f.Bytes(), f.FlopEstimate())
+	}
+}
+
+// TestConcurrentSingleSolvesShareFactor runs LSolve and LTSolve on one
+// supernodal factor from several goroutines at once, as Lanczos's
+// concurrent E′ applications do, and requires every result to equal the
+// serial solve bit for bit: each call must hold its own pooled buffer.
+// Run under -race it also proves the pool hands no buffer to two calls.
+func TestConcurrentSingleSolvesShareFactor(t *testing.T) {
+	sym, ap := order.Analyze(meshSPD(24, 24), order.MinimumDegree)
+	f, err := Factorize(ap, sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Supernodes() == 0 {
+		t.Fatal("order 576 must take the supernodal path")
+	}
+	n := ap.Rows
+	const callers = 8
+	rhs := make([][]float64, callers)
+	wantL := make([][]float64, callers)
+	wantLT := make([][]float64, callers)
+	for k := range rhs {
+		rhs[k] = make([]float64, n)
+		for i := range rhs[k] {
+			rhs[k][i] = math.Sin(float64(1 + i*(k+3)))
+		}
+		wantL[k] = append([]float64(nil), rhs[k]...)
+		f.LSolve(wantL[k])
+		wantLT[k] = append([]float64(nil), rhs[k]...)
+		f.LTSolve(wantLT[k])
+	}
+	got := make([][2][]float64, callers)
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func(out *[2][]float64, b []float64) {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				out[0] = append(out[0][:0], b...)
+				f.LSolve(out[0])
+				out[1] = append(out[1][:0], b...)
+				f.LTSolve(out[1])
+			}
+		}(&got[k], rhs[k])
+	}
+	wg.Wait()
+	for k, out := range got {
+		for i := range out[0] {
+			if math.Float64bits(out[0][i]) != math.Float64bits(wantL[k][i]) ||
+				math.Float64bits(out[1][i]) != math.Float64bits(wantLT[k][i]) {
+				t.Fatalf("caller %d entry %d: concurrent solve differs from serial", k, i)
+			}
+		}
+	}
+}
+
+// TestFactorBytesDeterministic repeats one supernodal factorization and
+// requires one value of Bytes and ScratchBytes: the accounting counts
+// every slot of the worker pool, not the slots a run happened to claim.
+// Not t.Parallel: it mutates the process-wide GOMAXPROCS.
+func TestFactorBytesDeterministic(t *testing.T) {
+	sym, ap := order.Analyze(meshSPD(40, 40), order.MinimumDegree)
+	an, err := Analyze(ap, sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	ws := an.NewWorkspace()
+	var bytes, scratch int64
+	for rep := 0; rep < 60; rep++ {
+		w := ws
+		if rep%2 == 1 {
+			w = nil // the owning path must agree with the pooled one
+		}
+		f, err := an.Factorize(ap, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep == 0 {
+			bytes, scratch = f.Bytes(), f.ScratchBytes()
+			continue
+		}
+		if f.Bytes() != bytes || f.ScratchBytes() != scratch {
+			t.Fatalf("run %d: Bytes %d ScratchBytes %d, want %d and %d", rep, f.Bytes(), f.ScratchBytes(), bytes, scratch)
+		}
 	}
 }

@@ -187,6 +187,42 @@ func TestYAgainstSchur(t *testing.T) {
 	}
 }
 
+// TestYUnionCancellation evaluates Y(s) on a pencil whose D and E
+// entries cancel at one position (D₀₁ = −E₀₁): the union pattern the
+// pencil's ordering and factorization share must still hold it, since
+// D + sE is nonzero there at every s ≠ 1.
+func TestYUnionCancellation(t *testing.T) {
+	t.Parallel()
+	build := func(n, m int, entries [][3]float64) *sparse.CSR {
+		b := sparse.NewBuilder(n, m)
+		for _, e := range entries {
+			b.Add(int(e[0]), int(e[1]), e[2])
+		}
+		return b.Build()
+	}
+	sys, err := NewSystem(
+		build(1, 1, [][3]float64{{0, 0, 1}}),
+		build(1, 1, [][3]float64{{0, 0, 1e-3}}),
+		build(3, 1, [][3]float64{{0, 0, -0.5}}),
+		build(3, 1, [][3]float64{{0, 0, -0.1}}),
+		build(3, 3, [][3]float64{{0, 0, 2}, {1, 1, 2}, {2, 2, 2}, {0, 1, 0.5}, {1, 0, 0.5}, {1, 2, -0.3}, {2, 1, -0.3}}),
+		build(3, 3, [][3]float64{{0, 0, 1}, {1, 1, 1}, {2, 2, 1}, {0, 1, -0.5}, {1, 0, -0.5}}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []complex128{0, complex(0, 0.3), complex(0, 2), complex(0.5, 3)} {
+		got, err := sys.Y(s)
+		if err != nil {
+			t.Fatalf("s=%v: %v", s, err)
+		}
+		want := schurY(sys, s)
+		if d := dense.MaxAbsDiff(got, want); d > 1e-12*(1+cNorm(want)) {
+			t.Fatalf("s=%v: |Y - Yschur| = %g", s, d)
+		}
+	}
+}
+
 func TestCutoffFactor(t *testing.T) {
 	t.Parallel()
 	if f := CutoffFactor(0.05); math.Abs(f-3.04) > 0.01 {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -64,52 +65,137 @@ func NewSystem(a, b, q, r, d, e *sparse.CSR) (*System, error) {
 
 // Partition splits full (m+n)×(m+n) conductance and susceptance matrices
 // into a System given the list of port node indices (the remaining
-// indices become internal nodes). The port order in the System follows
-// the order of ports.
+// indices become internal nodes, in ascending order). The port order in
+// the System follows the order of ports. Each matrix is split straight
+// into its three stored blocks (see splitBlocks), so the full matrices
+// are never permuted or copied.
 func Partition(g, c *sparse.CSR, ports []int) (*System, error) {
 	if g.Rows != g.Cols || c.Rows != c.Cols || g.Rows != c.Rows {
 		return nil, fmt.Errorf("%w: G %dx%d C %dx%d", ErrBadShape, g.Rows, g.Cols, c.Rows, c.Cols)
 	}
 	total := g.Rows
-	isPort := make([]bool, total)
-	for _, p := range ports {
+	m := len(ports)
+	// slot maps a node to its index in the block order [ports...,
+	// internal...]: port k to k, the i-th internal node to m+i.
+	slot := make([]int, total)
+	for i := range slot {
+		slot[i] = -1
+	}
+	for k, p := range ports {
 		if p < 0 || p >= total {
 			return nil, fmt.Errorf("core: port index %d out of range [0,%d)", p, total)
 		}
-		if isPort[p] {
+		if slot[p] >= 0 {
 			return nil, fmt.Errorf("core: duplicate port index %d", p)
 		}
-		isPort[p] = true
+		slot[p] = k
 	}
-	var internal []int
-	for i := 0; i < total; i++ {
-		if !isPort[i] {
+	internal := make([]int, 0, total-m)
+	for i, s := range slot {
+		if s < 0 {
+			slot[i] = m + len(internal)
 			internal = append(internal, i)
 		}
 	}
-	// Build a permutation [ports..., internal...] and permute, then slice
-	// the blocks out.
-	perm := append(append([]int(nil), ports...), internal...)
-	gp := g.PermuteSym(perm)
-	cp := c.PermuteSym(perm)
-	m := len(ports)
-	n := len(internal)
-	portIdx := make([]int, m)
-	intIdx := make([]int, n)
-	for i := range portIdx {
-		portIdx[i] = i
+	a, q, d := splitBlocks(g, ports, internal, slot)
+	b, r, e := splitBlocks(c, ports, internal, slot)
+	return NewSystem(a, b, q, r, d, e)
+}
+
+// splitRowChunk is the number of rows one pool task of splitBlocks
+// fills. Chunk boundaries depend only on the row count, so the work
+// split is deterministic.
+const splitRowChunk = 1024
+
+// splitBlocks splits the symmetric matrix x into its port block (ports ×
+// ports), connection block (internal × ports) and internal block
+// (internal × internal); the upper-right block is the connection
+// block's transpose and is not stored. Entries land at their column's
+// block slot, and exact zeros are dropped. Internal columns keep x's
+// ascending order; a row's port columns are sorted only where they meet
+// the port list out of order. Rows are independent, so the fill runs on
+// the worker pool and the blocks are identical at every GOMAXPROCS.
+func splitBlocks(x *sparse.CSR, ports, internal, slot []int) (pp, ip, ii *sparse.CSR) {
+	m, n := len(ports), len(internal)
+	pp = &sparse.CSR{Rows: m, Cols: m, RowPtr: make([]int, m+1)}
+	ip = &sparse.CSR{Rows: n, Cols: m, RowPtr: make([]int, n+1)}
+	ii = &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	for k, r := range ports {
+		cnt := 0
+		for p := x.RowPtr[r]; p < x.RowPtr[r+1]; p++ {
+			if x.Val[p] != 0 && slot[x.Col[p]] < m {
+				cnt++
+			}
+		}
+		pp.RowPtr[k+1] = pp.RowPtr[k] + cnt
 	}
-	for i := range intIdx {
-		intIdx[i] = m + i
+	for k, r := range internal {
+		np, ni := 0, 0
+		for p := x.RowPtr[r]; p < x.RowPtr[r+1]; p++ {
+			switch {
+			case x.Val[p] == 0:
+			case slot[x.Col[p]] < m:
+				np++
+			default:
+				ni++
+			}
+		}
+		ip.RowPtr[k+1] = ip.RowPtr[k] + np
+		ii.RowPtr[k+1] = ii.RowPtr[k] + ni
 	}
-	return NewSystem(
-		gp.Submatrix(portIdx, portIdx),
-		cp.Submatrix(portIdx, portIdx),
-		gp.Submatrix(intIdx, portIdx),
-		cp.Submatrix(intIdx, portIdx),
-		gp.Submatrix(intIdx, intIdx),
-		cp.Submatrix(intIdx, intIdx),
-	)
+	for _, blk := range []*sparse.CSR{pp, ip, ii} {
+		blk.Col = make([]int, blk.RowPtr[blk.Rows])
+		blk.Val = make([]float64, blk.RowPtr[blk.Rows])
+	}
+	// fill writes rows[k] of x into row k of port (its port columns) and,
+	// when inner is non-nil, of inner (its internal columns).
+	fill := func(rows []int, port, inner *sparse.CSR) {
+		par.ForChunks(len(rows), splitRowChunk, func(_, lo, hi int) {
+			for k := lo; k < hi; k++ {
+				r := rows[k]
+				q0 := port.RowPtr[k]
+				q := q0
+				var qi int
+				if inner != nil {
+					qi = inner.RowPtr[k]
+				}
+				sorted := true
+				for p := x.RowPtr[r]; p < x.RowPtr[r+1]; p++ {
+					v := x.Val[p]
+					if v == 0 {
+						continue
+					}
+					if j := slot[x.Col[p]]; j < m {
+						if q > q0 && port.Col[q-1] > j {
+							sorted = false
+						}
+						port.Col[q], port.Val[q] = j, v
+						q++
+					} else if inner != nil {
+						inner.Col[qi], inner.Val[qi] = j-m, v
+						qi++
+					}
+				}
+				if !sorted {
+					sortRow(port.Col[q0:q], port.Val[q0:q])
+				}
+			}
+		})
+	}
+	fill(ports, pp, nil)
+	fill(internal, ip, ii)
+	return pp, ip, ii
+}
+
+// sortRow sorts one row segment by column; the columns are distinct.
+// Segments are short (one row's port entries), so insertion sort.
+func sortRow(col []int, val []float64) {
+	for i := 1; i < len(col); i++ {
+		for j := i; j > 0 && col[j] < col[j-1]; j-- {
+			col[j], col[j-1] = col[j-1], col[j]
+			val[j], val[j-1] = val[j-1], val[j]
+		}
+	}
 }
 
 // Full reassembles the (m+n)×(m+n) G and C matrices from the partitions

@@ -415,8 +415,7 @@ func Transform1Context(ctx context.Context, sys *System, opts Options) (*Transfo
 		return an.Factorize(dp, an.NewWorkspace())
 	}
 
-	sym := order.Analyze(sys.D, opts.Ordering)
-	dp := sys.D.PermuteSym(sym.Perm)
+	sym, dp := order.Analyze(sys.D, opts.Ordering)
 	fact, err := factorizeD(dp, sym)
 	gamma := 0.0
 	if err != nil && errors.Is(err, chol.ErrNotPositiveDefinite) {
@@ -433,8 +432,7 @@ func Transform1Context(ctx context.Context, sys *System, opts Options) (*Transfo
 			// Regularizing may create diagonal entries the pattern lacked,
 			// so the symbolic analysis is redone on the shifted matrix.
 			dreg := sparse.AddDiagonal(sys.D, g)
-			symG := order.Analyze(dreg, opts.Ordering)
-			dpG := dreg.PermuteSym(symG.Perm)
+			symG, dpG := order.Analyze(dreg, opts.Ordering)
 			factG, ferr := factorizeD(dpG, symG)
 			if ferr == nil {
 				sym, dp, fact, gamma, err = symG, dpG, factG, g, nil

@@ -26,14 +26,15 @@ type pencil struct {
 }
 
 // newPencil orders the union pattern of d and e by method and analyzes
-// it. order.Natural keeps d and e as they stand, so the pencil lives in
-// their frame with no permutation copy.
+// it; the permuted union order.Analyze returns is the pattern the
+// factorization indexes (the union's values are |d|+|e|, so it holds
+// every position where the permuted d or e is nonzero, and only those).
+// order.Natural keeps d and e as they stand, so the pencil lives in
+// their frame with no permutation copy of them.
 func newPencil(d, e *sparse.CSR, method order.Method) (*pencil, error) {
-	pat := sparse.PatternUnion(d, e)
-	sym := order.Analyze(pat, method)
+	sym, pat := order.Analyze(sparse.PatternUnion(d, e), method)
 	if method != order.Natural {
 		d, e = d.PermuteSym(sym.Perm), e.PermuteSym(sym.Perm)
-		pat = sparse.PatternUnion(d, e)
 	}
 	an, err := chol.Analyze(pat, sym)
 	if err != nil {

@@ -98,7 +98,7 @@ func Ordering(w io.Writer, full bool) error {
 	fmt.Fprintf(w, "mesh internal block: %d nodes, %d nonzeros\n\n", ex.Sys.N, ex.Sys.D.NNZ())
 	fmt.Fprintf(w, "%-16s %12s %12s %14s %8s\n", "ordering", "factor nnz", "fill ratio", "reduce (s)", "poles")
 	for _, m := range []order.Method{order.MinimumDegree, order.RCM, order.Natural} {
-		sym := order.Analyze(ex.Sys.D, m)
+		sym, _ := order.Analyze(ex.Sys.D, m)
 		t0 := time.Now()
 		model, _, err := core.Reduce(ex.Sys, core.Options{FMax: 3e9, Tol: 0.05, Ordering: m})
 		if err != nil {

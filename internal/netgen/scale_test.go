@@ -142,11 +142,10 @@ func TestMillionNodeClockTreeFactorizes(t *testing.T) {
 	deck = nil
 	runtime.GC()
 
-	sym := order.Analyze(sys.D, order.MinimumDegree)
+	sym, dperm := order.Analyze(sys.D, order.MinimumDegree)
 	rec.OrderNs = sym.OrderNs
 	rec.SymbolicNs = sym.SymbolicNs
 	tFactor := time.Now()
-	dperm := sys.D.PermuteSym(sym.Perm)
 	an, err := chol.Analyze(dperm, sym)
 	if err != nil {
 		t.Fatal(err)

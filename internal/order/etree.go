@@ -61,10 +61,15 @@ type Symbolic struct {
 // the diagonal).
 func (s *Symbolic) LNNZ() int { return s.ColPtr[s.N] }
 
-// Analyze computes a fill-reducing ordering of the symmetric pattern a
-// (full pattern, values ignored) and the symbolic factorization of the
-// permuted matrix. The pattern must be structurally symmetric.
-func Analyze(a *sparse.CSR, method Method) *Symbolic {
+// Analyze computes a fill-reducing ordering of the symmetric matrix a
+// (full pattern) and the symbolic factorization of the permuted matrix,
+// which it returns alongside: ap = a.PermuteSym(sym.Perm), so ap[i][j] =
+// a[Perm[i]][Perm[j]] with exact zeros dropped. The symbolic structure
+// describes ap's pattern exactly, so ap is the matrix to hand to
+// chol.Factorize / chol.Analyze; no caller permutes a again. The ordering
+// reads the pattern only; a's values matter only in that exact zeros
+// leave ap. The pattern must be structurally symmetric.
+func Analyze(a *sparse.CSR, method Method) (*Symbolic, *sparse.CSR) {
 	if a.Rows != a.Cols {
 		panic("order: Analyze requires a square matrix")
 	}
@@ -105,7 +110,7 @@ func Analyze(a *sparse.CSR, method Method) *Symbolic {
 		ColPtr:     colPtr,
 		OrderNs:    t1.Sub(t0).Nanoseconds(),
 		SymbolicNs: end.Sub(t1).Nanoseconds(),
-	}
+	}, ap
 }
 
 // ETree computes the elimination tree of a symmetric matrix given its

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -84,6 +85,25 @@ func randomSymPattern(rng *rand.Rand, n, extra int) *sparse.CSR {
 		}
 	}
 	return b.Build()
+}
+
+// sameCSR reports whether a and b have the same shape, pattern and
+// Float64bits-equal values.
+func sameCSR(a, b *sparse.CSR) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || len(a.Col) != len(b.Col) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for i := range a.RowPtr {
+		if a.RowPtr[i] != b.RowPtr[i] {
+			return false
+		}
+	}
+	for p := range a.Col {
+		if a.Col[p] != b.Col[p] || math.Float64bits(a.Val[p]) != math.Float64bits(b.Val[p]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestETreePath(t *testing.T) {
@@ -226,12 +246,16 @@ func TestMinDegreeBeatsNaturalOnGrid(t *testing.T) {
 	g := grid2D(14, 14)
 	rng := rand.New(rand.NewSource(25))
 	shuffled := g.PermuteSym(rng.Perm(g.Rows))
-	fillMD := Analyze(shuffled, MinimumDegree).LNNZ()
-	fillNat := Analyze(shuffled, Natural).LNNZ()
+	lnnz := func(a *sparse.CSR, m Method) int {
+		sym, _ := Analyze(a, m)
+		return sym.LNNZ()
+	}
+	fillMD := lnnz(shuffled, MinimumDegree)
+	fillNat := lnnz(shuffled, Natural)
 	if fillMD >= fillNat {
 		t.Errorf("MD fill %d >= shuffled-natural fill %d", fillMD, fillNat)
 	}
-	banded := Analyze(g, Natural).LNNZ()
+	banded := lnnz(g, Natural)
 	if fillMD > 2*banded {
 		t.Errorf("MD fill %d > 2x banded fill %d; ordering quality regression", fillMD, banded)
 	}
@@ -239,14 +263,18 @@ func TestMinDegreeBeatsNaturalOnGrid(t *testing.T) {
 
 func TestAnalyzeLNNZConsistent(t *testing.T) {
 	// LNNZ from Analyze must equal brute-force fill of the permuted
-	// pattern for every method.
+	// pattern for every method, and the permuted matrix Analyze returns
+	// must be exactly a.PermuteSym(sym.Perm).
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 15; trial++ {
 		n := 4 + rng.Intn(16)
 		a := randomSymPattern(rng, n, 2*n)
 		for _, m := range []Method{Natural, RCM, MinimumDegree} {
-			sym := Analyze(a, m)
-			want := denseSymbolicFill(a.PermuteSym(sym.Perm))
+			sym, ap := Analyze(a, m)
+			if !sameCSR(ap, a.PermuteSym(sym.Perm)) {
+				t.Fatalf("trial %d method %v: returned matrix differs from a.PermuteSym(sym.Perm)", trial, m)
+			}
+			want := denseSymbolicFill(ap)
 			if sym.LNNZ() != want {
 				t.Fatalf("trial %d method %v: LNNZ = %d, want %d", trial, m, sym.LNNZ(), want)
 			}
@@ -259,7 +287,7 @@ func TestAnalyzePermProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(30)
 		a := randomSymPattern(rng, n, 2*n)
-		sym := Analyze(a, MinimumDegree)
+		sym, _ := Analyze(a, MinimumDegree)
 		if !validPerm(sym.Perm, n) {
 			return false
 		}

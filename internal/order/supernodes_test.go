@@ -47,7 +47,7 @@ func TestFundamentalSupernodes(t *testing.T) {
 		nx, ny := 2+rng.Intn(9), 2+rng.Intn(9)
 		a := rcMeshPattern(rng, nx, ny, rng.Intn(3*nx*ny))
 		for _, m := range []Method{Natural, RCM, MinimumDegree} {
-			sym := Analyze(a, m)
+			sym, _ := Analyze(a, m)
 			sn := sym.FindSupernodes(DefaultMaxWidth)
 			if err := sn.Validate(sym); err != nil {
 				t.Fatalf("trial %d %v: %v", trial, m, err)
@@ -85,7 +85,7 @@ func TestSupernodesEdgeCases(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Add(i, i, 1)
 	}
-	sym := Analyze(b.Build(), Natural)
+	sym, _ := Analyze(b.Build(), Natural)
 	sn := sym.FindSupernodes(DefaultMaxWidth)
 	if err := sn.Validate(sym); err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestSupernodesDenseChain(t *testing.T) {
 			}
 		}
 	}
-	sym := Analyze(b.Build(), Natural)
+	sym, _ := Analyze(b.Build(), Natural)
 	sn := sym.FindSupernodes(DefaultMaxWidth)
 	if err := sn.Validate(sym); err != nil {
 		t.Fatal(err)

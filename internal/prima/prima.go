@@ -64,7 +64,7 @@ func Reduce(sys *core.System, q int, s0 float64, ordering order.Method) (*Model,
 		shifted = sparse.Add(1, g, s0, c)
 	}
 	nt := g.Rows
-	sym := order.Analyze(sparse.PatternUnion(g, c), ordering)
+	sym, _ := order.Analyze(sparse.PatternUnion(g, c), ordering)
 	ap := shifted.PermuteSym(sym.Perm) // Arnoldi operator matrix G + s0·C
 	gp := g.PermuteSym(sym.Perm)       // original G for the projection
 	cp := c.PermuteSym(sym.Perm)

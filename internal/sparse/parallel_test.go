@@ -135,24 +135,6 @@ func builderPermuteSym(a *CSR, perm []int) *CSR {
 	return b.Build()
 }
 
-// builderSubmatrix is the historical map-based implementation, kept as
-// the oracle for the direct-construction Submatrix.
-func builderSubmatrix(a *CSR, rows, cols []int) *CSR {
-	colMap := make(map[int]int, len(cols))
-	for k, j := range cols {
-		colMap[j] = k
-	}
-	b := NewBuilder(len(rows), len(cols))
-	for k, i := range rows {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if jNew, ok := colMap[a.Col[p]]; ok {
-				b.Add(k, jNew, a.Val[p])
-			}
-		}
-	}
-	return b.Build()
-}
-
 func TestPermuteSymMatchesBuilderOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 8; trial++ {
@@ -170,30 +152,6 @@ func TestPermuteSymMatchesBuilderOracle(t *testing.T) {
 		ident := IdentityPerm(n)
 		if !csrBitsEqual(builderPermuteSym(a, ident), a.PermuteSym(ident)) {
 			t.Fatalf("trial %d: identity PermuteSym differs from builder oracle", trial)
-		}
-	}
-}
-
-func TestSubmatrixMatchesBuilderOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 8; trial++ {
-		n := 2 + rng.Intn(150)
-		a := randomCSR(rng, n, n, 4*n)
-		if a.NNZ() > 0 {
-			a.Val[rng.Intn(a.NNZ())] = 0
-		}
-		var rows, cols []int
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				rows = append(rows, i)
-			}
-			if rng.Intn(2) == 0 {
-				cols = append(cols, i)
-			}
-		}
-		want := builderSubmatrix(a, rows, cols)
-		if !csrBitsEqual(want, a.Submatrix(rows, cols)) {
-			t.Fatalf("trial %d: Submatrix differs from builder oracle", trial)
 		}
 	}
 }

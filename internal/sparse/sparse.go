@@ -12,6 +12,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/par"
@@ -59,8 +60,8 @@ func (b *Builder) AddSym(i, j int, v float64) {
 // summing).
 func (b *Builder) NNZ() int { return len(b.v) }
 
-// buildRowChunk is the number of matrix rows one pool task of Build,
-// PermuteSym or Submatrix handles. Chunk boundaries depend only on the
+// buildRowChunk is the number of matrix rows one pool task of Build or
+// PermuteSym handles. Chunk boundaries depend only on the
 // row count, never on the worker count, so the work split is
 // deterministic.
 const buildRowChunk = 1024
@@ -419,62 +420,12 @@ func (a *CSR) PermuteRows(perm []int) *CSR {
 	return out
 }
 
-// Submatrix extracts the block with the given (ordered) row and column
-// index sets. Index sets need not be contiguous; they must be strictly
-// increasing for the result to keep sorted rows. Entries whose value is
-// exactly zero are dropped, matching the historical triplet-rebuild
-// semantics.
-//
-// Because the column set is strictly increasing, the surviving entries
-// of each source row are already in output order, so rows build
-// directly into their own segments with no sort; the per-row work runs
-// on the worker pool with identical results at every GOMAXPROCS.
-func (a *CSR) Submatrix(rows, cols []int) *CSR {
-	colMap := make([]int32, a.Cols)
-	for i := range colMap {
-		colMap[i] = -1
-	}
-	for k, j := range cols {
-		if k > 0 && cols[k-1] >= j {
-			panic("sparse: Submatrix column set must be strictly increasing")
-		}
-		if j < 0 || j >= a.Cols {
-			panic("sparse: Submatrix column index out of range")
-		}
-		colMap[j] = int32(k)
-	}
-	out := &CSR{Rows: len(rows), Cols: len(cols), RowPtr: make([]int, len(rows)+1)}
-	for k, i := range rows {
-		cnt := 0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if colMap[a.Col[p]] >= 0 && a.Val[p] != 0 {
-				cnt++
-			}
-		}
-		out.RowPtr[k+1] = out.RowPtr[k] + cnt
-	}
-	out.Col = make([]int, out.RowPtr[len(rows)])
-	out.Val = make([]float64, out.RowPtr[len(rows)])
-	par.ForChunks(len(rows), buildRowChunk, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			i := rows[k]
-			q := out.RowPtr[k]
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				if jNew := colMap[a.Col[p]]; jNew >= 0 && a.Val[p] != 0 {
-					out.Col[q] = int(jNew)
-					out.Val[q] = a.Val[p]
-					q++
-				}
-			}
-		}
-	})
-	return out
-}
-
 // PatternUnion returns a matrix with the union of the patterns of A and B
-// and values alpha*A + beta*B, keeping entries even when the sum is zero.
-// It is used to build the symbolic pattern for factorizations of D + sE
-// that must be valid for every s.
+// and values |A| + |B|, keeping every stored entry. It is used to build
+// the symbolic pattern for factorizations of D + sE that must be valid
+// for every s: an entry is zero only where both operands are, so no
+// exact cancellation A[i][j] = −B[i][j] drops a position from an
+// analysis that discards zeros (order.Analyze).
 func PatternUnion(a, b *CSR) *CSR {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic("sparse: PatternUnion shape mismatch")
@@ -489,13 +440,13 @@ func PatternUnion(a, b *CSR) *CSR {
 			var v float64
 			switch {
 			case pb >= eb || (pa < ea && a.Col[pa] < b.Col[pb]):
-				j, v = a.Col[pa], a.Val[pa]
+				j, v = a.Col[pa], math.Abs(a.Val[pa])
 				pa++
 			case pa >= ea || b.Col[pb] < a.Col[pa]:
-				j, v = b.Col[pb], b.Val[pb]
+				j, v = b.Col[pb], math.Abs(b.Val[pb])
 				pb++
 			default:
-				j, v = a.Col[pa], a.Val[pa]+b.Val[pb]
+				j, v = a.Col[pa], math.Abs(a.Val[pa])+math.Abs(b.Val[pb])
 				pa++
 				pb++
 			}

@@ -190,22 +190,6 @@ func TestPermuteRows(t *testing.T) {
 	}
 }
 
-func TestSubmatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randomCSR(rng, 8, 8, 30)
-	rows := []int{1, 3, 6}
-	cols := []int{0, 2, 5, 7}
-	s := a.Submatrix(rows, cols)
-	da, ds := a.Dense(), s.Dense()
-	for i, io := range rows {
-		for j, jo := range cols {
-			if ds[i][j] != da[io][jo] {
-				t.Fatalf("Submatrix(%d,%d) = %v, want %v", i, j, ds[i][j], da[io][jo])
-			}
-		}
-	}
-}
-
 func TestCSCRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randomCSR(rng, 11, 13, 70)
