@@ -85,6 +85,26 @@ leg "kernel-oracle leg (micro-kernels vs naive references, run twice)"
 # which cover the line buffer every card write reuses.
 go test ./internal/dense/... ./internal/chol/... ./internal/stamp/ ./internal/netlist/ -run Oracle -count=2
 
+leg "reports leg (regenerate reports/*.txt and diff, clocks masked)"
+# The paper tables are pure functions of the code at a fixed pool size,
+# except their wall-clock columns and the speedups taken from them,
+# which scripts/mask-report-clocks.awk (the one mask list) blanks on
+# both sides. A count, value or memory figure that moves without its
+# report being regenerated fails here. GOMAXPROCS is pinned because the
+# factor memory figures count every worker's scratch slot.
+reports_tmp=$(mktemp -d)
+GOMAXPROCS=2 go run ./cmd/pactbench -ex all -o "$reports_tmp" >/dev/null
+reports_ok=1
+for f in reports/*.txt; do
+    if ! diff -u --label "$f" --label "regenerated $(basename "$f")" \
+        <(awk -f scripts/mask-report-clocks.awk "$f") \
+        <(awk -f scripts/mask-report-clocks.awk "$reports_tmp/$(basename "$f")"); then
+        reports_ok=0
+    fi
+done
+rm -rf "$reports_tmp"
+[ "$reports_ok" = 1 ]
+
 leg "invariant-checked tests (-tags pactcheck)"
 go test -tags pactcheck ./internal/check/ ./internal/core/ ./internal/prima/ \
     ./internal/lanczos/ ./internal/stamp/ ./internal/sim/ ./internal/resilience/...
