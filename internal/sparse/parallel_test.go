@@ -155,3 +155,44 @@ func TestPermuteSymMatchesBuilderOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestSortAllocsPerChunk pins the per-row column sort of PermuteSym and
+// Build to one rowSeg per row chunk: on a 100×100 lattice whose rows all
+// need sorting, both allocate O(rows/buildRowChunk) objects, not one per
+// row (a rowSeg value boxed into sort.Interface costs one per row).
+func TestSortAllocsPerChunk(t *testing.T) {
+	const nx = 100
+	n := nx * nx
+	b := NewBuilder(n, n)
+	// Off-diagonals first, diagonal last, so every row's triplets arrive
+	// out of column order.
+	for y := 0; y < nx; y++ {
+		for x := 0; x < nx; x++ {
+			i := y*nx + x
+			if x+1 < nx {
+				b.AddSym(i, i+1, -1)
+			}
+			if y+1 < nx {
+				b.AddSym(i, i+nx, -1)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		b.Add(i, i, 4)
+	}
+	a := b.Build()
+	// Reversal maps ascending columns to descending ones, so every row
+	// of the permuted matrix must be re-sorted.
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = n - 1 - i
+	}
+	chunks := (n + buildRowChunk - 1) / buildRowChunk
+	limit := float64(4*chunks + 16)
+	if got := testing.AllocsPerRun(5, func() { a.PermuteSym(perm) }); got > limit {
+		t.Fatalf("PermuteSym of %d rows: %.0f allocations, want at most %.0f", n, got, limit)
+	}
+	if got := testing.AllocsPerRun(5, func() { b.Build() }); got > limit {
+		t.Fatalf("Build of %d rows: %.0f allocations, want at most %.0f", n, got, limit)
+	}
+}

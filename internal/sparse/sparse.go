@@ -157,9 +157,11 @@ func (b *Builder) Build() *CSR {
 // place. Row i occupies col/val[start[i]:start[i+1]] on entry; on return
 // its kept[i] merged entries lead that segment.
 func mergeRows(start, kept, col []int, val []float64, lo, hi int) {
+	seg := new(rowSeg) // one per chunk: sort.Sort takes the pointer unboxed
 	for i := lo; i < hi; i++ {
 		segLo, segHi := start[i], start[i+1]
-		sort.Sort(rowSeg{col: col[segLo:segHi], val: val[segLo:segHi]})
+		seg.col, seg.val = col[segLo:segHi], val[segLo:segHi]
+		sort.Sort(seg)
 		dst := segLo
 		for p := segLo; p < segHi; {
 			j := col[p]
@@ -178,14 +180,17 @@ func mergeRows(start, kept, col []int, val []float64, lo, hi int) {
 	}
 }
 
+// rowSeg sorts one row's column and value slices together by column.
+// Callers reuse one *rowSeg per chunk and repoint its slices per row: a
+// rowSeg value would be boxed, one allocation per sorted row.
 type rowSeg struct {
 	col []int
 	val []float64
 }
 
-func (s rowSeg) Len() int           { return len(s.col) }
-func (s rowSeg) Less(i, j int) bool { return s.col[i] < s.col[j] }
-func (s rowSeg) Swap(i, j int) {
+func (s *rowSeg) Len() int           { return len(s.col) }
+func (s *rowSeg) Less(i, j int) bool { return s.col[i] < s.col[j] }
+func (s *rowSeg) Swap(i, j int) {
 	s.col[i], s.col[j] = s.col[j], s.col[i]
 	s.val[i], s.val[j] = s.val[j], s.val[i]
 }
@@ -375,6 +380,7 @@ func (a *CSR) PermuteSym(perm []int) *CSR {
 	out.Col = make([]int, out.RowPtr[n])
 	out.Val = make([]float64, out.RowPtr[n])
 	par.ForChunks(n, buildRowChunk, func(_, lo, hi int) {
+		seg := new(rowSeg) // one per chunk: sort.Sort takes the pointer unboxed
 		for i := lo; i < hi; i++ {
 			iOld := perm[i]
 			q := out.RowPtr[i]
@@ -394,7 +400,8 @@ func (a *CSR) PermuteSym(perm []int) *CSR {
 				prev = j
 			}
 			if !sorted {
-				sort.Sort(rowSeg{col: out.Col[out.RowPtr[i]:q], val: out.Val[out.RowPtr[i]:q]})
+				seg.col, seg.val = out.Col[out.RowPtr[i]:q], out.Val[out.RowPtr[i]:q]
+				sort.Sort(seg)
 			}
 		}
 	})
