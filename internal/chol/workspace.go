@@ -116,37 +116,3 @@ func (ws *FactorWorkspace) complexSolveBufs(workers int) [][]complex128 {
 	}
 	return ws.solveC[:workers]
 }
-
-// Bytes returns the memory currently held by the workspace: packed
-// panels, diagonal, per-worker dense scratch, DAG run state, and solve
-// buffers. Together with the analysis's routing storage this is the
-// true peak footprint of a pooled factorization, which the Table 4
-// memory accounting reports.
-func (ws *FactorWorkspace) Bytes() int64 {
-	b := int64(len(ws.val))*8 + int64(len(ws.cval))*16 + int64(len(ws.d))*16
-	b += int64(len(ws.errs)) * 16
-	for _, sc := range ws.scratchR {
-		b += sc.bytes()
-	}
-	for _, sc := range ws.scratchC {
-		b += sc.bytes()
-	}
-	if ws.dagSc != nil {
-		b += ws.dagSc.Bytes()
-	}
-	for _, buf := range ws.solveF {
-		b += int64(len(buf)) * 8
-	}
-	for _, buf := range ws.solveC {
-		b += int64(len(buf)) * 16
-	}
-	return b
-}
-
-// bytes is the memory footprint of one worker's dense scratch.
-func (sc *superScratch) bytes() int64 {
-	if sc == nil {
-		return 0
-	}
-	return int64(len(sc.upd))*8 + int64(len(sc.cupd))*16 + int64(len(sc.adiag))*8
-}

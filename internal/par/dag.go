@@ -148,11 +148,6 @@ func (d *DAG) NewScratch() *DAGScratch {
 	}
 }
 
-// Bytes returns the memory footprint of the scratch in bytes.
-func (sc *DAGScratch) Bytes() int64 {
-	return int64(len(sc.counts)+cap(sc.queue)) * 4
-}
-
 // RunDAG executes every task of d exactly once on at most the given
 // number of workers, starting each task only after all of its
 // dependencies returned. Allocates fresh run state; use RunDAGScratch
