@@ -488,18 +488,26 @@ func TestReduceMaxPoles(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(63))
 	sys := randomSystem(rng, 2, 20)
-	model, _, err := Reduce(sys, Options{FMax: keepAllFMax, MaxPoles: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model.K() > 2 {
-		t.Fatalf("kept %d poles, cap was 2", model.K())
-	}
-	// The two largest λ (lowest-frequency poles) must be the ones kept.
-	for i := 1; i < len(model.Lambda); i++ {
-		if model.Lambda[i] > model.Lambda[i-1] {
-			t.Fatal("Lambda not descending")
+	for _, path := range []struct {
+		name  string
+		dense int
+	}{{"dense", 0}, {"lanczos", -1}} {
+		full, _, err := Reduce(sys, Options{FMax: keepAllFMax, DenseThreshold: path.dense})
+		if err != nil {
+			t.Fatal(err)
 		}
+		model, _, err := Reduce(sys, Options{FMax: keepAllFMax, DenseThreshold: path.dense, MaxPoles: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.K() <= 2 || model.K() != 2 {
+			t.Fatalf("%s: kept %d of %d poles under a cap of 2", path.name, model.K(), full.K())
+		}
+		// The two poles with the largest band-edge score (poleScores) must
+		// be the ones kept, in descending λ.
+		vals, rk := selectStrongestPoles(full.Lambda, full.R, 2, keepAllFMax)
+		pinModelBits(t, path.name+": MaxPoles 2 vs top 2 by poleScores", model,
+			&ReducedModel{M: full.M, Lambda: vals, A: full.A, B: full.B, R: rk})
 	}
 }
 

@@ -48,10 +48,9 @@ import (
 // space is only a change of basis: Ê then has the spectrum of E′. So
 // multiPointPoles skips the connection block, the shifted
 // factorizations, the Gram–Schmidt union and the projection, and takes
-// the dense E′ eigenpath with the single-point residue projection
-// (residueRows) instead; the multi-point MaxPoles selector applies on
-// both routes. The rule reads only m, N and the shift set, so it is
-// decided before any shift is factored.
+// the single-point dense eigenpath (densePoles) instead. The rule reads
+// only m, N and the shift set, so it is decided before any shift is
+// factored.
 //
 // Determinism: the shift set is canonicalized, candidate columns are
 // generated into a fixed order (shift ascending → moment ascending → Re
@@ -307,7 +306,6 @@ func candidateColumns(m, moments int, shifts []float64) int {
 // projection Ê = VᵀEV, whose eigenvalues ≥ λ_c are the retained poles —
 // or, when the candidates number at least N, the dense E′ eigenpath in
 // place of all of that (the whole-space rule, see the file comment). A
-// MaxPoles cap keeps the strongest residues (selectStrongestPoles). A
 // shift whose factorization fails is dropped with a recorded Recovery
 // (the surviving shifts still span a valid congruence basis); only when
 // every shift fails does the stage return a typed StageError.
@@ -320,20 +318,8 @@ func (t *Transformed) multiPointPoles(ctx context.Context, opts Options) ([]floa
 	stats.Shifts = len(shifts)
 
 	if cols := candidateColumns(m, opts.ShiftMoments, shifts); cols >= n {
-		stats.BasisColumns, stats.BasisKept, stats.DenseEig = cols, n, true
-		vals, uk, err := t.denseEigAbove(ctx, stats.LambdaC)
-		if err != nil {
-			if resilience.IsCancellation(err) {
-				return nil, nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
-			}
-			return nil, nil, err
-		}
-		rk, err := t.residueRows(ctx, uk, len(vals))
-		if err != nil {
-			return nil, nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
-		}
-		vals, rk = selectStrongestPoles(vals, rk, opts.MaxPoles, opts.FMax)
-		return vals, rk, nil
+		stats.BasisColumns, stats.BasisKept = cols, n
+		return t.densePoles(ctx, resilience.StageMultiPoint)
 	}
 
 	_, pcols, err := t.connectionBlock(ctx)
@@ -474,31 +460,5 @@ func (t *Transformed) multiPointPoles(ctx context.Context, opts Options) ([]floa
 			rk.Set(c, j, s)
 		}
 	}
-	vals, rk = selectStrongestPoles(vals, rk, opts.MaxPoles, opts.FMax)
 	return vals, rk, nil
-}
-
-// selectStrongestPoles enforces an opts.MaxPoles budget on the
-// multi-point model. The single-point path truncates by eigenvalue
-// (keep the slowest poles); with hundreds of ports that wastes budget
-// on slow modes the ports barely couple to. Here the budget goes to
-// the poles with the largest band-edge score (poleScores), ties broken
-// toward the slower pole, and the kept set is re-sorted λ-descending so
-// the model keeps the ordering every consumer (and
-// check.PoleRealNonneg) expects. A budget of zero (no cap) or one that
-// already holds every pole returns vals and rk unchanged.
-func selectStrongestPoles(vals []float64, rk *dense.Mat, budget int, fmax float64) ([]float64, *dense.Mat) {
-	if budget <= 0 || len(vals) <= budget {
-		return vals, rk
-	}
-	score := poleScores(vals, rk, fmax)
-	idx := make([]int, len(vals))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return score[idx[a]] > score[idx[b]] })
-	sel := idx[:budget]
-	// vals arrives λ-descending, so ascending index order restores it.
-	sort.Ints(sel)
-	return selectRows(vals, rk, sel)
 }

@@ -266,9 +266,9 @@ func onePortLadder(t *testing.T, nn int) *System {
 // TestMultiPointWholeSpaceShortcut pins the whole-space rule. When the
 // shift set defines exactly N candidate columns, the multi-point run
 // must skip the shifted factorizations and the union and return the
-// single-point dense eigenpath's poles and residues bit for bit, with a
-// MaxPoles cap giving exactly selectStrongestPoles of them; one
-// candidate fewer must still run the union.
+// single-point dense eigenpath's poles and residues bit for bit, also
+// under a MaxPoles cap, which the one selector applies to both alike;
+// one candidate fewer must still run the union.
 func TestMultiPointWholeSpaceShortcut(t *testing.T) {
 	t.Parallel()
 	fmax := 0.05
@@ -318,10 +318,12 @@ func TestMultiPointWholeSpaceShortcut(t *testing.T) {
 
 		capped := o
 		capped.MaxPoles = 2
-		got := reduceMP(t, sys, capped)
-		vals, rk := selectStrongestPoles(single.Lambda, single.R, 2, fmax)
-		pinModelBits(t, tc.name+": capped shortcut vs selectStrongestPoles",
-			got, &ReducedModel{M: single.M, Lambda: vals, A: single.A, B: single.B, R: rk})
+		singleCapped, _, err := Reduce(sys, Options{FMax: fmax, DenseThreshold: sys.N, MaxPoles: 2})
+		if err != nil {
+			t.Fatalf("%s: capped single-point reduce: %v", tc.name, err)
+		}
+		pinModelBits(t, tc.name+": capped shortcut vs capped single-point dense",
+			reduceMP(t, sys, capped), singleCapped)
 
 		if tc.fewer.FMax == 0 {
 			continue

@@ -138,14 +138,12 @@ func gradedMeshSystem(t *testing.T, nx, ny, nz int, decades float64) *System {
 
 // comparePointModes reduces sys multi-point with o, then single-point
 // at the same reduced order, and measures both against the oracle over
-// freqs. The single-point model keeps its slowest poles (the MaxPoles
-// truncation) or, with sameSelector, the poles selectStrongestPoles
-// picks from its whole spectrum above the cutoff — then the two models
-// share the selector and differ only in the subspace E′ is projected
-// on. When the single-point spectrum holds fewer poles above the cutoff
-// than the multi-point basis produced, the comparison equalizes
-// downward so the orders always match exactly.
-func comparePointModes(t *testing.T, sys *System, o Options, freqs []float64, sameSelector bool) (single, multi *ReducedModel, mstats *Stats, errSingle, errMulti float64) {
+// freqs. Both back ends hand their whole spectrum above the cutoff to
+// the one pole selector, so the two models differ only in the subspace
+// E′ is projected on. When the single-point spectrum holds fewer poles
+// above the cutoff than the multi-point basis produced, the comparison
+// equalizes downward so the orders always match exactly.
+func comparePointModes(t *testing.T, sys *System, o Options, freqs []float64) (single, multi *ReducedModel, mstats *Stats, errSingle, errMulti float64) {
 	t.Helper()
 	multi, mstats, err := Reduce(sys, o)
 	if err != nil {
@@ -154,9 +152,6 @@ func comparePointModes(t *testing.T, sys *System, o Options, freqs []float64, sa
 	so := o
 	so.Shifts, so.PortClusters = nil, 0
 	so.MaxPoles = multi.K()
-	if sameSelector {
-		so.MaxPoles = 0
-	}
 	single, _, err = Reduce(sys, so)
 	if err != nil {
 		t.Fatalf("single-point reduce: %v", err)
@@ -168,10 +163,6 @@ func comparePointModes(t *testing.T, sys *System, o Options, freqs []float64, sa
 		if err != nil {
 			t.Fatalf("multi-point reduce at equalized order %d: %v", single.K(), err)
 		}
-	}
-	if sameSelector {
-		vals, rk := selectStrongestPoles(single.Lambda, single.R, multi.K(), o.FMax)
-		single = &ReducedModel{M: single.M, Lambda: vals, A: single.A, B: single.B, R: rk}
 	}
 	if single.K() != multi.K() {
 		t.Fatalf("reduced orders differ: single %d, multi %d", single.K(), multi.K())
@@ -201,9 +192,43 @@ func mustCanonical(t *testing.T, shifts []float64) []float64 {
 	return cs
 }
 
+// slowestFirstErr reduces sys single-point with o's cutoff and no cap,
+// keeps the k slowest poles (slowestPoles, the single-point cap before
+// the one selector) and returns that model's oracle error over freqs.
+func slowestFirstErr(t *testing.T, sys *System, o Options, k int, freqs []float64) float64 {
+	t.Helper()
+	so := o
+	so.Shifts, so.PortClusters, so.MaxPoles = nil, 0, 0
+	full, _, err := Reduce(sys, so)
+	if err != nil {
+		t.Fatalf("uncapped single-point reduce: %v", err)
+	}
+	errs, err := OracleMaxRelErrs(sys, []*ReducedModel{slowestPoles(full, k)}, freqs)
+	if err != nil {
+		t.Fatalf("oracle sweep: %v", err)
+	}
+	return errs[0]
+}
+
+// requirePointModes runs comparePointModes on o and fails unless the
+// multi-point model is at least as accurate as both single-point
+// models of its order: the one selector's and the slowest-first
+// reference's.
+func requirePointModes(t *testing.T, name string, sys *System, o Options, freqs []float64) {
+	t.Helper()
+	_, multi, _, errSingle, errMulti := comparePointModes(t, sys, o, freqs)
+	errSlowest := slowestFirstErr(t, sys, o, multi.K(), freqs)
+	t.Logf("%s: order %d, single+selector %.3e, single slowest-first %.3e, multi %.3e",
+		name, multi.K(), errSingle, errSlowest, errMulti)
+	if errMulti > errSingle || errMulti > errSlowest {
+		t.Fatalf("%s: multi-point %.3e worse than single-point at equal order (selector %.3e, slowest-first %.3e)",
+			name, errMulti, errSingle, errSlowest)
+	}
+}
+
 // requireProjected fails unless the multi-point run built its basis by
 // the union and kept fewer than N columns: on the whole-space rule the
-// multi-point model is the dense E′ eigenpath under the multi-point
+// multi-point model is the single-point dense eigenpath under the same
 // selector, so a basis comparison would measure nothing.
 func requireProjected(t *testing.T, sys *System, st *Stats) {
 	t.Helper()
@@ -218,12 +243,7 @@ func TestMultiPointOracleLadder(t *testing.T) {
 	sys := gradedLadderSystem(t, 64, 3)
 	fmax := 0.05
 	o := Options{FMax: fmax, Tol: 0.05, Shifts: []float64{0, fmax}, MaxPoles: 6, DenseThreshold: 1000}
-	freqs := OracleFreqs(fmax, 3, 7)
-	_, _, _, errSingle, errMulti := comparePointModes(t, sys, o, freqs, false)
-	t.Logf("ladder: order %d, single %.3e, multi %.3e", 6, errSingle, errMulti)
-	if errMulti > errSingle {
-		t.Fatalf("multi-point worse than single-point at equal order: %.3e > %.3e", errMulti, errSingle)
-	}
+	requirePointModes(t, "ladder", sys, o, OracleFreqs(fmax, 3, 7))
 }
 
 func TestMultiPointOracleGrid(t *testing.T) {
@@ -231,12 +251,7 @@ func TestMultiPointOracleGrid(t *testing.T) {
 	sys := gradedGridSystem(t, 12, 12, 2, 2, 2)
 	fmax := 0.05
 	o := Options{FMax: fmax, Tol: 0.05, Shifts: []float64{0, fmax / 10, fmax}, MaxPoles: 10, DenseThreshold: 1000}
-	freqs := OracleFreqs(fmax, 3, 7)
-	_, _, _, errSingle, errMulti := comparePointModes(t, sys, o, freqs, false)
-	t.Logf("grid: single %.3e, multi %.3e", errSingle, errMulti)
-	if errMulti > errSingle {
-		t.Fatalf("multi-point worse than single-point at equal order: %.3e > %.3e", errMulti, errSingle)
-	}
+	requirePointModes(t, "grid", sys, o, OracleFreqs(fmax, 3, 7))
 }
 
 func TestMultiPointOracleMesh(t *testing.T) {
@@ -244,17 +259,12 @@ func TestMultiPointOracleMesh(t *testing.T) {
 	sys := gradedMeshSystem(t, 5, 5, 3, 2)
 	fmax := 0.05
 	o := Options{FMax: fmax, Tol: 0.05, Shifts: []float64{0, fmax}, MaxPoles: 16, DenseThreshold: 1000}
-	freqs := OracleFreqs(fmax, 3, 7)
-	_, _, _, errSingle, errMulti := comparePointModes(t, sys, o, freqs, false)
-	t.Logf("mesh: single %.3e, multi %.3e", errSingle, errMulti)
-	if errMulti > errSingle {
-		t.Fatalf("multi-point worse than single-point at equal order: %.3e > %.3e", errMulti, errSingle)
-	}
+	requirePointModes(t, "mesh", sys, o, OracleFreqs(fmax, 3, 7))
 }
 
 // TestMultiPointOracleLadderBasis measures the basis itself: multi-point
-// against single-point under the same selectStrongestPoles at equal
-// order on the graded ladder, whose 6 candidate columns project the 62
+// against single-point under the same selector at equal order on the
+// graded ladder, whose 6 candidate columns project the 62
 // internal nodes. The selector is shared, so the win is the expansion
 // points'.
 func TestMultiPointOracleLadderBasis(t *testing.T) {
@@ -263,7 +273,7 @@ func TestMultiPointOracleLadderBasis(t *testing.T) {
 	fmax := 0.05
 	o := Options{FMax: fmax, Tol: 0.05, Shifts: []float64{0, fmax}, MaxPoles: 6, DenseThreshold: 1000}
 	freqs := OracleFreqs(fmax, 3, 7)
-	single, _, mstats, errSingle, errMulti := comparePointModes(t, sys, o, freqs, true)
+	single, _, mstats, errSingle, errMulti := comparePointModes(t, sys, o, freqs)
 	requireProjected(t, sys, mstats)
 	t.Logf("ladder basis: order %d, single+selector %.3e, multi %.3e", single.K(), errSingle, errMulti)
 	if errMulti >= errSingle {
@@ -286,7 +296,7 @@ func TestMultiPointOracleGridBasis(t *testing.T) {
 	fmax := 0.05
 	o := Options{FMax: fmax, Tol: 0.05, Shifts: []float64{0, fmax}, MaxPoles: 24, DenseThreshold: 1000}
 	freqs := OracleFreqs(fmax, 3, 5)
-	single, multi, mstats, errSingle, errMulti := comparePointModes(t, sys, o, freqs, true)
+	single, multi, mstats, errSingle, errMulti := comparePointModes(t, sys, o, freqs)
 	requireProjected(t, sys, mstats)
 	if errMulti >= errSingle {
 		t.Fatalf("multi-point basis must beat single-point under the same selector: multi %.3e, single %.3e",
@@ -322,15 +332,15 @@ func TestMultiPointOracleGridBasis(t *testing.T) {
 	}
 }
 
-// TestMultiPointOracleWideBand256 is the many-port bench of the
-// multi-point mode: the 256-port wide-band graded grid (the in-package
-// twin of `netgen -kind wideband -ports 256`), reduced single-point and
-// multi-point at one equal order and measured against the dense oracle.
-// Multi-point must win strictly. Its 768 candidate columns outnumber
-// the 320 internal nodes, so the run must take the whole-space rule —
-// no shifted factorization, no union — and the win is the band-weighted
-// selector's (the basis comparisons run on the ladder and the 40×40
-// grid above).
+// TestMultiPointOracleWideBand256 is the many-port bench of the pole
+// selector: the 256-port wide-band graded grid (the in-package twin of
+// `netgen -kind wideband -ports 256`) reduced multi-point at order 48
+// and measured against the dense oracle. Its 768 candidate columns
+// outnumber the 320 internal nodes, so the run must take the
+// whole-space rule — no shifted factorization, no union — and equal the
+// single-point model of its order bit for bit. The selector must beat
+// the slowest-first reference strictly (the basis comparisons run on
+// the ladder and the 20×20 grid above).
 func TestMultiPointOracleWideBand256(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -343,15 +353,17 @@ func TestMultiPointOracleWideBand256(t *testing.T) {
 	fmax := 0.05
 	o := Options{FMax: fmax, Tol: 0.05, Shifts: []float64{0, fmax}, MaxPoles: 48, DenseThreshold: 1000}
 	freqs := OracleFreqs(fmax, 3, 5)
-	single, _, mstats, errSingle, errMulti := comparePointModes(t, sys, o, freqs, false)
-	t.Logf("wideband256: order %d — single %.3e, multi %.3e", single.K(), errSingle, errMulti)
-	if errMulti >= errSingle {
-		t.Fatalf("multi-point must beat single-point on the wide-band 256-port bench: multi %.3e, single %.3e",
-			errMulti, errSingle)
-	}
+	single, multi, mstats, _, errMulti := comparePointModes(t, sys, o, freqs)
 	if mstats.BasisKept != sys.N || mstats.Stage.ShiftFactorNs != 0 || mstats.Stage.BasisUnionNs != 0 {
 		t.Fatalf("wide-band bench skipped no union: kept %d of %d, shift_factor %d ns, basis_union %d ns",
 			mstats.BasisKept, sys.N, mstats.Stage.ShiftFactorNs, mstats.Stage.BasisUnionNs)
+	}
+	pinModelBits(t, "wideband256: whole-space multi-point vs single-point", multi, single)
+	errSlowest := slowestFirstErr(t, sys, o, multi.K(), freqs)
+	t.Logf("wideband256: order %d — selector %.3e, slowest-first %.3e", multi.K(), errMulti, errSlowest)
+	if multi.K() != 48 || errMulti >= errSlowest {
+		t.Fatalf("the selector must beat slowest-first at order 48 on the wide-band 256-port bench: order %d, selector %.3e, slowest-first %.3e",
+			multi.K(), errMulti, errSlowest)
 	}
 }
 

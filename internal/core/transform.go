@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/check"
@@ -68,10 +69,9 @@ type Options struct {
 	// Seed seeds the Lanczos starting vector (default 1).
 	Seed int64
 	// MaxPoles, when positive, caps the number of retained poles. Zero
-	// keeps everything above the cutoff. The cap still means two things:
-	// single-point keeps the slowest poles (the largest eigenvalues),
-	// multi-point keeps the poles with the largest band-edge residue
-	// strength (selectStrongestPoles).
+	// keeps everything above the cutoff. On both back ends the cap keeps
+	// the poles with the largest band-edge residue strength (selectPoles),
+	// not the slowest ones.
 	MaxPoles int
 	// Shifts, when non-empty, switches Transform 2 to the
 	// multi-expansion-point mode: D + s₀E is factored at s₀ = j2πf for
@@ -83,10 +83,9 @@ type Options struct {
 	// set defines at least N candidate columns (ShiftMoments·m per DC
 	// shift, 2·ShiftMoments·m per nonzero shift), the union could at
 	// best span the whole internal space, so none of that runs: the
-	// poles come from the dense E′ eigenpath instead, under the same
-	// MaxPoles selector. The shift set is canonicalized (sorted
-	// ascending, duplicates dropped) before use, so the projected model
-	// is independent of listing order.
+	// poles come from the dense E′ eigenpath instead. The shift set is
+	// canonicalized (sorted ascending, duplicates dropped) before use, so
+	// the projected model is independent of listing order.
 	Shifts []float64
 	// ShiftMoments is the number of block moments matched per expansion
 	// point in multi-point mode (default 1: the zeroth moment of the
@@ -100,14 +99,14 @@ type Options struct {
 	// when the candidates number fewer than N: otherwise the union it
 	// thins is never built (see Shifts).
 	PortClusters int
-	// ResiduePruneTol, when positive, additionally drops retained poles
-	// whose worst-case admittance contribution below FMax is smaller than
-	// this fraction of the port-block admittance scale — an extension
-	// beyond the paper: a pole can be below the frequency cutoff yet
-	// couple so weakly to the ports that carrying its internal node is
-	// pointless. Pruning preserves passivity (it is a further congruence
-	// restriction) and adds at most ResiduePruneTol relative error per
-	// pruned pole.
+	// ResiduePruneTol, when positive, is the pole selector's threshold:
+	// it drops poles whose worst-case admittance contribution below FMax
+	// is smaller than this fraction of the port-block admittance scale —
+	// an extension beyond the paper: a pole can be below the frequency
+	// cutoff yet couple so weakly to the ports that carrying its internal
+	// node is pointless. Dropping poles preserves passivity (it is a
+	// further congruence restriction) and adds at most ResiduePruneTol
+	// relative error per pruned pole.
 	ResiduePruneTol float64
 }
 
@@ -695,17 +694,17 @@ func (t *Transformed) Transform2(opts Options) (*ReducedModel, error) {
 }
 
 // Transform2Context is Transform2 with cooperative cancellation. One of
-// two back ends picks the subspace E′ is projected on and returns the
-// retained poles λ ≥ λ_c with their residue rows R_k:
+// two back ends picks the subspace E′ is projected on and returns every
+// pole λ ≥ λ_c with its residue row of R_k:
 //
 //   - single-point (no Shifts, singlePointPoles): the Krylov space of
 //     Lanczos or two-pass Lanczos, or the whole space by the dense
-//     eigenpath, capped by MaxPoles to the slowest poles;
+//     eigenpath;
 //   - multi-point (Shifts, multiPointPoles): the union of the moment
-//     bases at the expansion points, capped by MaxPoles to the strongest
-//     residues.
+//     bases at the expansion points.
 //
-// One tail then checks the poles, applies the ResiduePruneTol prune and
+// One tail then checks the poles, applies the one pole selector
+// (selectPoles: the MaxPoles cap and the ResiduePruneTol threshold) and
 // the passivity check, and assembles the model.
 func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*ReducedModel, error) {
 	opts, err := opts.Resolve()
@@ -727,11 +726,11 @@ func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*Red
 	if check.Enabled {
 		check.PoleRealNonneg("Transform2 retained poles", vals)
 	}
+	var pruned int
+	vals, rk, pruned = selectPoles(vals, rk, t.APrime, t.BPrime, opts)
+	stats.PolesPruned += pruned
 	stats.PolesFound = len(vals)
 	model := &ReducedModel{M: m, Lambda: vals, A: t.APrime, B: t.BPrime, R: rk}
-	if opts.ResiduePruneTol > 0 && len(vals) > 0 {
-		model = pruneWeakPoles(model, opts, stats)
-	}
 	if check.Enabled {
 		gr, cr := model.Matrices()
 		check.ReducedPassive("Transform2 realized reduced model", gr, cr, check.DefaultTol)
@@ -740,9 +739,8 @@ func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*Red
 }
 
 // singlePointPoles is the paper's Transform 2 back end: the eigenpairs
-// of E′ above λ_c, found densely for small N and otherwise by LASO (or
-// two-pass Lanczos), truncated to the MaxPoles slowest, and projected
-// onto the connection block.
+// of E′ above λ_c, found densely for small N (densePoles) and otherwise
+// by LASO (or two-pass Lanczos), projected onto the connection block.
 //
 // Lanczos stagnation has a recovery ladder: a run that fails with
 // lanczos.ErrNoConvergence is restarted once with a fresh starting seed
@@ -752,105 +750,112 @@ func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*Red
 // Stats.Recoveries and Stats.DenseEig set. Cancellation and
 // non-stagnation failures are never retried.
 func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]float64, *dense.Mat, error) {
-	n := t.N
 	stats := t.stats
+	if opts.DenseThreshold >= 0 && t.N <= opts.DenseThreshold {
+		return t.densePoles(ctx, resilience.StagePoleAnalysis)
+	}
 	var vals []float64
 	var uk *dense.Mat
-	var err error
-	if opts.DenseThreshold >= 0 && n <= opts.DenseThreshold {
-		stats.DenseEig = true
-		vals, uk, err = t.denseEigAbove(ctx, stats.LambdaC)
-		if err != nil {
-			if resilience.IsCancellation(err) {
-				return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
-			}
-			return nil, nil, err
+	op := t.EOp()
+	lopts := lanczos.Options{
+		Cutoff:  stats.LambdaC,
+		Mode:    opts.LanczosMode,
+		ConvTol: lanczosConvTol,
+		Seed:    opts.Seed,
+	}
+	run := func(o lanczos.Options) (*lanczos.Result, error) {
+		if opts.TwoPass {
+			return lanczos.TwoPassCtx(ctx, op, o)
 		}
-	} else {
-		op := t.EOp()
-		lopts := lanczos.Options{
-			Cutoff:  stats.LambdaC,
-			Mode:    opts.LanczosMode,
-			ConvTol: lanczosConvTol,
-			Seed:    opts.Seed,
-		}
-		run := func(o lanczos.Options) (*lanczos.Result, error) {
-			if opts.TwoPass {
-				return lanczos.TwoPassCtx(ctx, op, o)
-			}
-			return lanczos.FindAboveCtx(ctx, op, o)
-		}
-		res, lerr := run(lopts)
-		if lerr != nil && errors.Is(lerr, lanczos.ErrNoConvergence) {
-			// Recovery ladder. Rung 1: restart with a fresh starting vector
-			// and full reorthogonalization — stagnation from an unlucky seed
-			// or from orthogonality loss is cured by exactly this.
-			attempts := []resilience.Attempt{{
-				Action: fmt.Sprintf("laso(mode=%v, seed=%d)", lopts.Mode, lopts.Seed),
-				Err:    lerr,
-			}}
-			retry := lopts
-			retry.Seed = lopts.Seed + 1
-			retry.Mode = lanczos.Full
-			res2, rerr := run(retry)
-			switch {
-			case rerr == nil:
-				res, lerr = res2, nil
-				stats.Recoveries = append(stats.Recoveries, resilience.Recovery{
-					Stage:    resilience.StagePoleAnalysis,
-					Action:   "lanczos restart (fresh seed, full reorthogonalization)",
-					Attempts: 2,
-					Reason:   attempts[0].Err.Error(),
-				})
-			case errors.Is(rerr, lanczos.ErrNoConvergence):
-				// Rung 2: dense eigenpath — exact and unconditionally
-				// convergent, at the O(n²) memory the paper avoids; a
-				// degraded-but-correct answer beats none.
-				attempts = append(attempts, resilience.Attempt{
-					Action: "lanczos restart (fresh seed, full reorthogonalization)",
-					Err:    rerr,
-				})
-				dvals, duk, derr := t.denseEigAbove(ctx, stats.LambdaC)
-				if derr != nil {
-					if resilience.IsCancellation(derr) {
-						return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
-					}
-					attempts = append(attempts, resilience.Attempt{Action: "dense eigenpath fallback", Err: derr})
-					return nil, nil, resilience.NewStageError(resilience.StagePoleAnalysis,
-						"recovery ladder exhausted", attempts, lerr)
+		return lanczos.FindAboveCtx(ctx, op, o)
+	}
+	res, lerr := run(lopts)
+	if lerr != nil && errors.Is(lerr, lanczos.ErrNoConvergence) {
+		// Recovery ladder. Rung 1: restart with a fresh starting vector
+		// and full reorthogonalization — stagnation from an unlucky seed
+		// or from orthogonality loss is cured by exactly this.
+		attempts := []resilience.Attempt{{
+			Action: fmt.Sprintf("laso(mode=%v, seed=%d)", lopts.Mode, lopts.Seed),
+			Err:    lerr,
+		}}
+		retry := lopts
+		retry.Seed = lopts.Seed + 1
+		retry.Mode = lanczos.Full
+		res2, rerr := run(retry)
+		switch {
+		case rerr == nil:
+			res, lerr = res2, nil
+			stats.Recoveries = append(stats.Recoveries, resilience.Recovery{
+				Stage:    resilience.StagePoleAnalysis,
+				Action:   "lanczos restart (fresh seed, full reorthogonalization)",
+				Attempts: 2,
+				Reason:   attempts[0].Err.Error(),
+			})
+		case errors.Is(rerr, lanczos.ErrNoConvergence):
+			// Rung 2: dense eigenpath — exact and unconditionally
+			// convergent, at the O(n²) memory the paper avoids; a
+			// degraded-but-correct answer beats none.
+			attempts = append(attempts, resilience.Attempt{
+				Action: "lanczos restart (fresh seed, full reorthogonalization)",
+				Err:    rerr,
+			})
+			dvals, duk, derr := t.denseEigAbove(ctx, stats.LambdaC)
+			if derr != nil {
+				if resilience.IsCancellation(derr) {
+					return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
 				}
-				stats.DenseEig = true
-				stats.Recoveries = append(stats.Recoveries, resilience.Recovery{
-					Stage:    resilience.StagePoleAnalysis,
-					Action:   "dense eigenpath fallback",
-					Attempts: 3,
-					Reason:   attempts[0].Err.Error(),
-				})
-				vals, uk, res, lerr = dvals, duk, nil, nil
-			default:
-				lerr = rerr // cancellation or a hard failure on the retry
+				attempts = append(attempts, resilience.Attempt{Action: "dense eigenpath fallback", Err: derr})
+				return nil, nil, resilience.NewStageError(resilience.StagePoleAnalysis,
+					"recovery ladder exhausted", attempts, lerr)
 			}
-		}
-		if lerr != nil {
-			if resilience.IsCancellation(lerr) {
-				return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
-			}
-			return nil, nil, fmt.Errorf("core: pole analysis (LASO): %w", lerr)
-		}
-		if res != nil {
-			vals = res.Values
-			uk = res.Vectors
-			stats.LanczosIters = res.Iterations
-			stats.Reorths = res.Reorths
-			stats.PeakVectors = res.PeakVectors
+			stats.DenseEig = true
+			stats.Recoveries = append(stats.Recoveries, resilience.Recovery{
+				Stage:    resilience.StagePoleAnalysis,
+				Action:   "dense eigenpath fallback",
+				Attempts: 3,
+				Reason:   attempts[0].Err.Error(),
+			})
+			vals, uk, res, lerr = dvals, duk, nil, nil
+		default:
+			lerr = rerr // cancellation or a hard failure on the retry
 		}
 	}
-	if opts.MaxPoles > 0 && len(vals) > opts.MaxPoles {
-		vals = vals[:opts.MaxPoles]
+	if lerr != nil {
+		if resilience.IsCancellation(lerr) {
+			return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
+		}
+		return nil, nil, fmt.Errorf("core: pole analysis (LASO): %w", lerr)
+	}
+	if res != nil {
+		vals = res.Values
+		uk = res.Vectors
+		stats.LanczosIters = res.Iterations
+		stats.Reorths = res.Reorths
+		stats.PeakVectors = res.PeakVectors
 	}
 	rk, err := t.residueRows(ctx, uk, len(vals))
 	if err != nil {
 		return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
+	}
+	return vals, rk, nil
+}
+
+// densePoles is the dense E′ eigenpath (denseEigAbove) with the residue
+// projection (residueRows): every pole λ ≥ λ_c exactly, for small N on
+// the single-point back end and for the multi-point whole-space rule.
+// stage names the back end in a cancellation error.
+func (t *Transformed) densePoles(ctx context.Context, stage resilience.Stage) ([]float64, *dense.Mat, error) {
+	t.stats.DenseEig = true
+	vals, uk, err := t.denseEigAbove(ctx, t.stats.LambdaC)
+	if err != nil {
+		if resilience.IsCancellation(err) {
+			return nil, nil, resilience.Canceled(stage, ctx)
+		}
+		return nil, nil, err
+	}
+	rk, err := t.residueRows(ctx, uk, len(vals))
+	if err != nil {
+		return nil, nil, resilience.Canceled(stage, ctx)
 	}
 	return vals, rk, nil
 }
@@ -926,7 +931,7 @@ func (t *Transformed) residueRows(ctx context.Context, uk *dense.Mat, k int) (*d
 // poleScores returns each pole's worst-case contribution to Y(s) over
 // the band [0, ω_max], ω_max = 2π·fmax: the term s²rᵢᵀrᵢ/(1+sλᵢ) peaks at
 // the band edge with magnitude ω²‖rᵢ‖²/√(1+(ωλᵢ)²), rᵢ row i of rk. The
-// multi-point MaxPoles cap and the residue prune both rank by it.
+// pole selector ranks by it.
 func poleScores(vals []float64, rk *dense.Mat, fmax float64) []float64 {
 	w := 2 * math.Pi * fmax
 	score := make([]float64, len(vals))
@@ -956,38 +961,51 @@ func selectRows(vals []float64, rk *dense.Mat, rows []int) ([]float64, *dense.Ma
 	return outVals, out
 }
 
-// pruneWeakPoles drops retained poles whose worst-case contribution to
-// the admittance below FMax (poleScores) is smaller than
-// ResiduePruneTol times the port-block admittance scale at FMax.
-func pruneWeakPoles(model *ReducedModel, opts Options, stats *Stats) *ReducedModel {
-	m := model.M
-	wmax := 2 * math.Pi * opts.FMax
-	// Admittance scale at f_max from the exact port blocks.
-	scale := 0.0
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			v := math.Abs(model.A.At(i, j)) + wmax*math.Abs(model.B.At(i, j))
-			if v > scale {
-				scale = v
+// selectPoles is Transform 2's one pole selector, run on every pole
+// λ ≥ λ_c (vals λ-descending, rk their residue rows) from either back
+// end. It ranks the poles by band-edge score (poleScores), ties toward
+// the slower pole, and keeps them while fewer than opts.MaxPoles are
+// kept (no cap at 0) and the score is at least opts.ResiduePruneTol
+// times the admittance scale of the exact port blocks a, b at FMax (no
+// threshold when either is 0). The kept poles return λ-descending;
+// pruned counts those the threshold dropped from the cap's set.
+func selectPoles(vals []float64, rk, a, b *dense.Mat, opts Options) (kept []float64, keptRk *dense.Mat, pruned int) {
+	limit := len(vals)
+	if opts.MaxPoles > 0 && opts.MaxPoles < limit {
+		limit = opts.MaxPoles
+	}
+	thr := 0.0
+	if opts.ResiduePruneTol > 0 {
+		w := 2 * math.Pi * opts.FMax
+		scale := 0.0
+		for i := 0; i < a.R; i++ {
+			for j := 0; j < a.C; j++ {
+				if v := math.Abs(a.At(i, j)) + w*math.Abs(b.At(i, j)); v > scale {
+					scale = v
+				}
 			}
 		}
+		thr = opts.ResiduePruneTol * scale
 	}
-	if scale == 0 {
-		return model
+	score := poleScores(vals, rk, opts.FMax)
+	idx := make([]int, len(vals))
+	for i := range idx {
+		idx[i] = i
 	}
-	var rows []int
-	for p, s := range poleScores(model.Lambda, model.R, opts.FMax) {
-		if s >= opts.ResiduePruneTol*scale {
-			rows = append(rows, p)
-		}
+	// vals arrives λ-descending, so the stable sort breaks score ties
+	// toward the slower pole, and ascending index order restores λ order.
+	sort.SliceStable(idx, func(x, y int) bool { return score[idx[x]] > score[idx[y]] })
+	n := 0
+	for n < limit && (thr == 0 || score[idx[n]] >= thr) {
+		n++
 	}
-	if len(rows) == len(model.Lambda) {
-		return model
+	if n == len(vals) {
+		return vals, rk, 0
 	}
-	stats.PolesPruned += len(model.Lambda) - len(rows)
-	stats.PolesFound = len(rows)
-	lambda, rk := selectRows(model.Lambda, model.R, rows)
-	return &ReducedModel{M: m, Lambda: lambda, A: model.A, B: model.B, R: rk}
+	sel := idx[:n]
+	sort.Ints(sel)
+	kept, keptRk = selectRows(vals, rk, sel)
+	return kept, keptRk, limit - n
 }
 
 // denseEigAbove builds E′ explicitly by applying the operator to unit

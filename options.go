@@ -29,7 +29,10 @@ type Options struct {
 	LanczosMode LanczosMode
 	// TwoPass selects the memory-minimal two-pass Lanczos.
 	TwoPass bool
-	// MaxPoles optionally caps the number of retained poles.
+	// MaxPoles optionally caps the number of retained poles, keeping the
+	// ones with the largest band-weighted residue strength (not the
+	// slowest), on the single- and multi-point paths alike. See
+	// core.Options.MaxPoles.
 	MaxPoles int
 	// Shifts selects multi-expansion-point reduction: the projection basis
 	// is built from moment responses at each listed frequency (Hz; 0 is
@@ -54,7 +57,8 @@ type Options struct {
 	PortClusters int
 	// ResiduePruneTol additionally drops retained poles whose worst-case
 	// contribution below FMax is smaller than this fraction of the
-	// admittance scale (0 disables). See core.Options.ResiduePruneTol.
+	// admittance scale (0 disables): the threshold of the MaxPoles
+	// selector. See core.Options.ResiduePruneTol.
 	ResiduePruneTol float64
 	// SparsifyTol enables the RCFIT sparsity-enhancement heuristic on the
 	// realized matrices (relative threshold; 0 disables).
@@ -151,7 +155,7 @@ var requestOptions = []requestOption{
 	{"sparsify", "sparsity-enhancement threshold on the realized network (default 0: off)", func(o *Options) any { return &o.SparsifyTol }},
 	{"ports", "comma-separated extra port nodes", func(o *Options) any { return &o.ExtraPorts }},
 	{"prefix", "name prefix for generated elements (default pact)", func(o *Options) any { return &o.Prefix }},
-	{"maxpoles", "cap on retained poles (default 0: no cap)", func(o *Options) any { return &o.MaxPoles }},
+	{"maxpoles", "cap on retained poles, keeping the strongest by band-weighted residue (default 0: no cap)", func(o *Options) any { return &o.MaxPoles }},
 	{"shifts", "comma-separated expansion-point frequencies in Hz for multi-point reduction (default none: single-point)", func(o *Options) any { return &o.Shifts }},
 	{"portcluster", "cluster ports into this many groups to thin the multi-point basis (requires shifts; default 0: off)", func(o *Options) any { return &o.PortClusters }},
 	{"twopass", "use the memory-minimal two-pass Lanczos", func(o *Options) any { return &o.TwoPass }},

@@ -67,12 +67,15 @@ leg "service leg (-race -tags pactcheck on rcfitd and its service layer)"
 go test -race -tags pactcheck ./internal/service/ ./cmd/rcfitd/
 
 leg "multipoint-oracle leg (multi-expansion-point vs dense Y(s) oracle, run twice)"
-# The accuracy-oracle suite pins the headline claim: at equal reduced
-# order the multi-point basis beats single-point expansion in max
-# relative Y(s) error on graded wide-band fixtures, and the wide-band
-# 256-port bench keeps multi strictly ahead; -count=2 defeats the test
-# cache so the pin runs fresh on every push.
-go test ./internal/core/ -run MultiPointOracle -count=2
+# The accuracy-oracle suite pins the headline claims: at equal reduced
+# order the multi-point basis beats single-point expansion under the
+# same pole selector in max relative Y(s) error on graded wide-band
+# fixtures, and on the wide-band 256-port bench the selector beats the
+# slowest-first pole cap strictly. The whole-space rule's bit pin
+# against single-point dense and the selector's bit pin against the
+# strongest-then-prune composition it replaced ride along; -count=2
+# defeats the test cache so the pins run fresh on every push.
+go test ./internal/core/ -run 'MultiPointOracle|MultiPointWholeSpaceShortcut|SelectPolesMatchesStrongestThenPrune' -count=2
 
 leg "kernel-oracle leg (micro-kernels vs naive references, run twice)"
 # The dense micro-kernels and the supernodal paths built on them are
