@@ -222,14 +222,15 @@ func TwoPassCtx(ctx context.Context, op Operator, opts Options) (*Result, error)
 	// post-processing role the Cullum–Willoughby test plays in the
 	// paper's reference [12].
 	residTol := math.Sqrt(opts.ConvTol) * scaleT
-	kept := certify(op, keptVals, func(j int) []float64 {
+	kept := certify(op, nil, keptVals, func(j int) []float64 {
 		v := make([]float64, n)
 		for i := 0; i < n; i++ {
 			v[i] = u.At(i, j)
 		}
 		return v
-	}, residTol, res, "two-pass Ritz basis")
-	if kept == 0 && len(keptVals) > 0 {
+	}, residTol, res)
+	setResult(res, n, kept, "two-pass Ritz basis")
+	if len(kept) == 0 && len(keptVals) > 0 {
 		return nil, fmt.Errorf("%w: two-pass vector accumulation degenerated", ErrNoConvergence)
 	}
 	return res, nil
