@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -16,8 +18,10 @@ import (
 // pole criterion, on generated networks of a few hundred internal nodes
 // at realistic band limits. The dense eigensolve counts the pencil
 // spectrum above λ_c; a Lanczos run that stops before every such pole
-// has emerged keeps fewer. Each fixture keeps every pencil eigenvalue
-// at least 1% away from λ_c, so roundoff cannot move the count.
+// has emerged keeps fewer. The two-ladder fixture doubles every pole,
+// so it also fails a run that stops before the late copies emerge. Each
+// fixture keeps every pencil eigenvalue at least 1% away from λ_c, so
+// roundoff cannot move the count.
 func TestNoPoleMissedAboveCutoff(t *testing.T) {
 	t.Parallel()
 	mesh := func() (*netlist.Deck, []string, error) {
@@ -29,12 +33,36 @@ func TestNoPoleMissedAboveCutoff(t *testing.T) {
 	ladder := func() (*netlist.Deck, []string, error) {
 		return netgen.Ladder(300, 250, 1.35e-12), nil, nil
 	}
+	// Two identical, disjoint ladders: every pole is doubled, and the
+	// second copy of each emerges only through rounding, after the first
+	// has converged, so the run must not stop before it does.
+	twoLadders := func() (*netlist.Deck, []string, error) {
+		var b strings.Builder
+		b.WriteString("two identical rc ladders\n")
+		const nseg, rtot, ctot = 100, 250.0, 1.35e-12
+		for _, l := range []string{"a", "b"} {
+			fmt.Fprintf(&b, "i%s1 %s1 0 dc 0\ni%s2 %s2 0 dc 0\n", l, l, l, l)
+			prev := l + "1"
+			for i := 1; i <= nseg; i++ {
+				node := fmt.Sprintf("%sn%d", l, i)
+				if i == nseg {
+					node = l + "2"
+				}
+				fmt.Fprintf(&b, "r%s%d %s %s %g\nc%s%d %s 0 %g\n", l, i, prev, node, rtot/nseg, l, i, node, ctot/nseg)
+				prev = node
+			}
+		}
+		b.WriteString(".end\n")
+		deck, err := netlist.ParseString(b.String())
+		return deck, nil, err
+	}
 	for _, fx := range []struct {
 		name string
 		deck func() (*netlist.Deck, []string, error)
 		fmax float64
 	}{
 		{"ladder300", ladder, 6e10},
+		{"twoladders100", twoLadders, 6e10},
 		{"mesh8x8x5", mesh, 6e9},
 		{"grid20x20", grid, 1.5e11},
 	} {
