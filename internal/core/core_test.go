@@ -689,13 +689,15 @@ func TestResiduePruning(t *testing.T) {
 	if pruned.K() > full.K() {
 		t.Fatal("pruning added poles?")
 	}
-	if sp.PolesFound != pruned.K() {
-		t.Fatalf("stats PolesFound %d != K %d", sp.PolesFound, pruned.K())
+	// PolesFound counts the poles above λ_c before the threshold, which
+	// the uncapped, unpruned run keeps all of.
+	if sFull.PolesFound != full.K() || sp.PolesFound != full.K() || pruned.K() != sp.PolesFound-sp.PolesPruned {
+		t.Fatalf("PolesFound %d (unpruned %d, K %d), K %d after pruning %d",
+			sp.PolesFound, sFull.PolesFound, full.K(), pruned.K(), sp.PolesPruned)
 	}
 	if !pruned.CheckPassive(1e-9) {
 		t.Fatal("pruned model lost passivity")
 	}
-	_ = sFull
 	for _, f := range []float64{fmax / 5, fmax} {
 		s := complex(0, 2*math.Pi*f)
 		want, err := sys.Y(s)

@@ -195,7 +195,9 @@ func TestMultiPointResiduePruning(t *testing.T) {
 	if sp.PolesPruned == 0 {
 		t.Fatalf("1%% threshold pruned none of %d multi-point poles", full.K())
 	}
-	if pruned.K() != full.K()-sp.PolesPruned || sp.PolesFound != pruned.K() {
+	// PolesFound counts the poles above λ_c before the threshold: all of
+	// the unpruned model's.
+	if sp.PolesFound != full.K() || pruned.K() != sp.PolesFound-sp.PolesPruned {
 		t.Fatalf("K %d, PolesFound %d after pruning %d of %d", pruned.K(), sp.PolesFound, sp.PolesPruned, full.K())
 	}
 	if !pruned.CheckPassive(1e-9) {
@@ -364,5 +366,28 @@ func TestMultiPointCanceledIsTyped(t *testing.T) {
 		if !errors.As(err, &se) || se.Stage != resilience.StageMultiPoint || !resilience.IsCancellation(err) {
 			t.Fatalf("%s: err = %v, want a canceled %s StageError", tc.name, err, resilience.StageMultiPoint)
 		}
+	}
+}
+
+// TestPolesFoundCountsBeforeSelection: Stats.PolesFound reports the
+// poles the back end found above λ_c, not the ones the selector kept, so
+// a MaxPoles cap shows in K alone.
+func TestPolesFoundCountsBeforeSelection(t *testing.T) {
+	t.Parallel()
+	sys := gradedGridSystem(t, 24, 24, 16, 16, 2)
+	fmax := 0.05
+	o := Options{FMax: fmax, Shifts: []float64{0, fmax}}
+	all, sAll, err := Reduce(sys, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.MaxPoles = 48
+	capped, sCap, err := Reduce(sys, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sAll.PolesFound != 304 || all.K() != 304 || sCap.PolesFound != 304 || capped.K() != 48 || sCap.PolesPruned != 0 {
+		t.Fatalf("uncapped: PolesFound %d, K %d; MaxPoles 48: PolesFound %d, K %d, pruned %d; want 304, 304; 304, 48, 0",
+			sAll.PolesFound, all.K(), sCap.PolesFound, capped.K(), sCap.PolesPruned)
 	}
 }

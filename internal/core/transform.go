@@ -156,8 +156,12 @@ func (o Options) Resolve() (Options, error) {
 // the paper analyzes. The JSON tags give rcfitd's /statz and /reduce
 // responses a stable wire shape.
 type Stats struct {
-	Ports         int     `json:"ports"`
-	Internal      int     `json:"internal"`
+	Ports    int `json:"ports"`
+	Internal int `json:"internal"`
+	// PolesFound counts the poles λ ≥ λ_c the Transform 2 back end
+	// returned, before the pole selector; the model keeps PolesFound
+	// minus the poles the MaxPoles cap and the ResiduePruneTol threshold
+	// (PolesPruned) drop.
 	PolesFound    int     `json:"poles_found"`
 	CutoffHz      float64 `json:"cutoff_hz"`
 	LambdaC       float64 `json:"lambda_c"`
@@ -703,9 +707,10 @@ func (t *Transformed) Transform2(opts Options) (*ReducedModel, error) {
 //   - multi-point (Shifts, multiPointPoles): the union of the moment
 //     bases at the expansion points.
 //
-// One tail then checks the poles, applies the one pole selector
-// (selectPoles: the MaxPoles cap and the ResiduePruneTol threshold) and
-// the passivity check, and assembles the model.
+// One tail then checks the poles, records how many the back end found
+// (Stats.PolesFound), applies the one pole selector (selectPoles: the
+// MaxPoles cap and the ResiduePruneTol threshold) and the passivity
+// check, and assembles the model.
 func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*ReducedModel, error) {
 	opts, err := opts.Resolve()
 	if err != nil {
@@ -726,10 +731,10 @@ func (t *Transformed) Transform2Context(ctx context.Context, opts Options) (*Red
 	if check.Enabled {
 		check.PoleRealNonneg("Transform2 retained poles", vals)
 	}
+	stats.PolesFound = len(vals)
 	var pruned int
 	vals, rk, pruned = selectPoles(vals, rk, t.APrime, t.BPrime, opts)
 	stats.PolesPruned += pruned
-	stats.PolesFound = len(vals)
 	model := &ReducedModel{M: m, Lambda: vals, A: t.APrime, B: t.BPrime, R: rk}
 	if check.Enabled {
 		gr, cr := model.Matrices()
