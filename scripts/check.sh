@@ -77,6 +77,18 @@ leg "multipoint-oracle leg (multi-expansion-point vs dense Y(s) oracle, run twic
 # defeats the test cache so the pins run fresh on every push.
 go test ./internal/core/ -run 'MultiPointOracle|MultiPointWholeSpaceShortcut|SelectPolesMatchesStrongestThenPrune' -count=2
 
+leg "pole-analysis leg (LASO certification and stop rule, pole count vs dense pencil, run twice)"
+# LASO certifies each Ritz pair once and stops on a margin after its last
+# certification: the certification test records every operator input
+# and fails if a returned vector was applied twice or a pair was kept
+# without its residual; the stop tests pin the margin and the late copy
+# of a repeated eigenvalue; TestNoPoleMissedAboveCutoff counts the dense
+# pencil's eigenvalues above lambda_c on generated networks, one of them
+# with every pole doubled, and fails a run that stopped before they all
+# emerged. -count=2 defeats the test cache.
+go test ./internal/lanczos/ -run 'CertifiesEachPairOnce|StopsOnMargin|MultipleEigenvalues' -count=2
+go test ./internal/core/ -run '^TestNoPoleMissedAboveCutoff$' -count=2
+
 leg "kernel-oracle leg (micro-kernels vs naive references, run twice)"
 # The dense micro-kernels and the supernodal paths built on them are
 # pinned by property-based oracle tests over randomized shapes; -count=2
