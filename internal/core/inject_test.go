@@ -208,8 +208,8 @@ func sweepSeeds(t *testing.T) int64 {
 
 // TestSeededFaultSweepIsTypedAndReproducible replays FromSeed schedules
 // over the core side of the injection catalog — chol.pivot, chol.poison,
-// chol.complexpivot, chol.dag.task, lanczos.iter, mp.shiftfactor, plus a
-// par.item cancellation — against
+// chol.complexpivot, chol.dag.task, lanczos.iter, mp.shiftfactor,
+// dense.inviter, plus a par.item cancellation — against
 // the full reduction, a multi-point reduction, an exact admittance
 // evaluation, and a frequency sweep. Whatever the armed faults hit, the
 // outcome must be
@@ -236,7 +236,7 @@ func TestSeededFaultSweepIsTypedAndReproducible(t *testing.T) {
 		defer cancel()
 		s := inject.FromSeed(seed, 10,
 			inject.CholPivot, inject.CholPoison, inject.CholComplexPivot,
-			inject.CholDAGTask, inject.LanczosIter, inject.MPShiftFactor).
+			inject.CholDAGTask, inject.LanczosIter, inject.MPShiftFactor, inject.DenseInvIter).
 			// The func-only par.item point cannot be armed from a seed, so
 			// the sweep derives its cancellation index from the seed itself:
 			// item seed%5 of the frequency sweep below cancels the context.
@@ -304,5 +304,62 @@ func TestInjectedComplexPivotFailsYEval(t *testing.T) {
 	inject.Reset()
 	if _, err := sys.Y(complex(0, 0.3)); err != nil {
 		t.Fatalf("clean retry after reset failed: %v", err)
+	}
+}
+
+// TestInjectedInverseIterationFallsBack drives dense.inviter on both
+// consumers of the selected eigensolve: the dense E′ eigenpath and the
+// projected multi-point pencil Ê. An inverse iteration that misses its
+// convergence test makes the solve finish the full SymEig instead, which
+// must be recorded as one Recovery of the consuming stage, keep every
+// pole bit for bit (eigenvalues never depend on the vectors), and leave
+// the residues within rounding of the clean run's.
+func TestInjectedInverseIterationFallsBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(86))
+	for _, tc := range []struct {
+		name  string
+		sys   *System
+		opts  Options
+		stage resilience.Stage
+		dense bool // Stats.DenseEig: E′ itself, not a projection
+	}{
+		{"dense E′", randomSystem(rng, 3, 30), Options{FMax: 0.1}, resilience.StagePoleAnalysis, true},
+		{"projected Ê", gradedGridSystem(t, 10, 10, 2, 2, 2), Options{FMax: 0.05, Shifts: []float64{0, 0.05}}, resilience.StageMultiPoint, false},
+	} {
+		clean, cstats, err := Reduce(tc.sys, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cstats.Recoveries) != 0 || clean.K() == 0 || cstats.DenseEig != tc.dense {
+			t.Fatalf("%s: clean run kept %d poles (dense %v) with recoveries %+v", tc.name, clean.K(), cstats.DenseEig, cstats.Recoveries)
+		}
+		s := inject.NewSchedule().Arm(inject.DenseInvIter, 0)
+		inject.Install(s)
+		model, stats, err := Reduce(tc.sys, tc.opts)
+		inject.Reset()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if s.Fired(inject.DenseInvIter) != 1 {
+			t.Fatalf("%s: injection point fired %d times, want 1", tc.name, s.Fired(inject.DenseInvIter))
+		}
+		if len(stats.Recoveries) != 1 || stats.Recoveries[0].Stage != tc.stage ||
+			stats.Recoveries[0].Action != "full dense eigensolve" || stats.Recoveries[0].Attempts != 2 {
+			t.Fatalf("%s: Recoveries = %+v, want one %s full dense eigensolve", tc.name, stats.Recoveries, tc.stage)
+		}
+		if model.K() != clean.K() || stats.PolesFound != cstats.PolesFound {
+			t.Fatalf("%s: fallback kept %d of %d poles, clean %d of %d", tc.name, model.K(), stats.PolesFound, clean.K(), cstats.PolesFound)
+		}
+		for i, lam := range clean.Lambda {
+			if math.Float64bits(model.Lambda[i]) != math.Float64bits(lam) {
+				t.Fatalf("%s: pole %d moved: %v vs %v", tc.name, i, model.Lambda[i], lam)
+			}
+		}
+		scale := clean.R.MaxAbs()
+		for i := range clean.R.Data {
+			if d := math.Abs(model.R.Data[i] - clean.R.Data[i]); d > 1e-9*scale {
+				t.Fatalf("%s: residue entry %d off by %.3g (scale %.3g)", tc.name, i, d, scale)
+			}
+		}
 	}
 }

@@ -57,7 +57,7 @@ func genEig(t *testing.T, e, d *dense.Mat) []float64 {
 		}
 	}
 	m.Symmetrize()
-	vals, _, err := dense.SymEig(m, false)
+	vals, err := dense.SymEigValues(m)
 	if err != nil {
 		t.Fatal(err)
 	}

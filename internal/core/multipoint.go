@@ -442,22 +442,23 @@ func (t *Transformed) multiPointPoles(ctx context.Context, opts Options) ([]floa
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
 	}
-	vals, uk, err := symEigAbove(eHat, stats.LambdaC)
+	vals, wt, err := symEigAbove(eHat, stats.LambdaC, stats, resilience.StageMultiPoint)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: eigensolve of projected Ê: %w", err)
 	}
 	// The same λ ≥ λ_c cutoff as the single-point path keeps every
 	// retained pole strictly positive, so the realized internal nodes are
-	// well defined. R_k = Wₖᵀ R̂ for the kept eigenvectors Wₖ of Ê.
+	// well defined. R_k = Wₖᵀ R̂ for the kept eigenvectors Wₖ of Ê (the
+	// rows of wt), row by row as axpys over the rows of R̂: each entry
+	// sums its q terms in ascending order from zero.
 	k := len(vals)
 	rk := dense.New(k, m)
 	for c := 0; c < k; c++ {
-		for j := 0; j < m; j++ {
-			s := 0.0
-			for i := 0; i < q; i++ {
-				s += uk.At(i, c) * rHat.At(i, j)
+		row := rk.Row(c)
+		for i, w := range wt.Row(c) {
+			for j, r := range rHat.Row(i) {
+				row[j] += w * r
 			}
-			rk.Set(c, j, s)
 		}
 	}
 	return vals, rk, nil

@@ -41,7 +41,7 @@ func (s *rcStamper) capacitor(i int, cap float64) {
 	s.cb.Add(i, i, cap)
 }
 
-func (s *rcStamper) system(t *testing.T, ports []int) *System {
+func (s *rcStamper) system(t testing.TB, ports []int) *System {
 	t.Helper()
 	sys, err := Partition(s.gb.Build(), s.cb.Build(), ports)
 	if err != nil {
@@ -70,7 +70,7 @@ func gradedLadderSystem(t *testing.T, nn int, decades float64) *System {
 // along y, ports on a px×py subgrid spread evenly over the interior
 // (same tap formula as netgen.WideBand, in fixture units R=C=1 at the
 // fast corner).
-func gradedGridSystem(t *testing.T, nx, ny, px, py int, decades float64) *System {
+func gradedGridSystem(t testing.TB, nx, ny, px, py int, decades float64) *System {
 	st := newRCStamper(nx * ny)
 	id := func(x, y int) int { return y*nx + x }
 	gradeX := func(x float64) float64 { return math.Pow(10, decades*x/float64(nx-1)) }

@@ -52,29 +52,35 @@ func TestTransform1DeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestReduceDeterministicAcrossGOMAXPROCS extends the contract to the
-// full reduction (Transform 2's parallel solves and the dense eigenpath
-// included): poles and residue factors must be bit-identical at every
-// worker count.
+// full reduction (Transform 2's parallel solves, the dense eigenpath,
+// the multi-point projection and its Ê eigensolve included): poles and
+// residue factors must be bit-identical at every worker count.
 func TestReduceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sys := randomSystem(rng, 6, 90)
-	opts := Options{FMax: 2e9, Tol: 0.05, DenseThreshold: 1 << 20} // force the dense eigenpath
-
-	run := func() ([]float64, []float64, []float64, []float64) {
-		model, _, err := Reduce(sys, opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, opts := range []Options{
+		{FMax: 2e9, Tol: 0.05, DenseThreshold: 1 << 20},   // force the dense eigenpath
+		{FMax: 2e9, Tol: 0.05, Shifts: []float64{0, 2e9}}, // the projected Ê eigensolve
+	} {
+		run := func() ([]float64, []float64, []float64, []float64) {
+			model, _, err := Reduce(sys, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if model.K() == 0 {
+				t.Fatalf("%+v kept no poles", opts)
+			}
+			return model.Lambda, model.A.Data, model.B.Data, model.R.Data
 		}
-		return model.Lambda, model.A.Data, model.B.Data, model.R.Data
-	}
-	old := runtime.GOMAXPROCS(1)
-	lamS, aS, bS, rS := run()
-	runtime.GOMAXPROCS(4)
-	lamP, aP, bP, rP := run()
-	runtime.GOMAXPROCS(old)
+		old := runtime.GOMAXPROCS(1)
+		lamS, aS, bS, rS := run()
+		runtime.GOMAXPROCS(4)
+		lamP, aP, bP, rP := run()
+		runtime.GOMAXPROCS(old)
 
-	bitsEqualSlice(t, "Lambda", lamP, lamS)
-	bitsEqualSlice(t, "A", aP, aS)
-	bitsEqualSlice(t, "B", bP, bS)
-	bitsEqualSlice(t, "R", rP, rS)
+		bitsEqualSlice(t, "Lambda", lamP, lamS)
+		bitsEqualSlice(t, "A", aP, aS)
+		bitsEqualSlice(t, "B", bP, bS)
+		bitsEqualSlice(t, "R", rP, rS)
+	}
 }

@@ -153,8 +153,18 @@ func (o Options) Resolve() (Options, error) {
 }
 
 // Stats reports the work done by a reduction, the quantities Section 4 of
-// the paper analyzes. The JSON tags give rcfitd's /statz and /reduce
-// responses a stable wire shape.
+// the paper analyzes. Library callers (pact.Reduction.Stats) and
+// perfbench's per-layer counters read every field; the JSON tags name
+// the fields for a caller that serializes Stats whole, which no command
+// does. The command-line surfaces show subsets. rcfitd's /reduce reply
+// is its own service.Result, which copies Ports, Internal, ScratchBytes,
+// Stage and Recoveries (as text) and reports the kept pole count K, not
+// PolesFound; /statz sums Stage alone (stage_totals_ns). rcfit prints
+// Ports, Internal, CutoffHz, the kept K and the multi-point counters,
+// with -v also Supernodes, FactorFlops, Solves, MatVecs, CholeskyBytes,
+// ScratchBytes and Stage, and every Recovery. PolesFound, LambdaC,
+// PolesPruned, LanczosIters, Reorths, PeakVectors, CholeskyNNZ, DenseEig
+// and XCached reach neither surface.
 type Stats struct {
 	Ports    int `json:"ports"`
 	Internal int `json:"internal"`
@@ -760,7 +770,7 @@ func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]flo
 		return t.densePoles(ctx, resilience.StagePoleAnalysis)
 	}
 	var vals []float64
-	var uk *dense.Mat
+	var vt *dense.Mat
 	op := t.EOp()
 	lopts := lanczos.Options{
 		Cutoff:  stats.LambdaC,
@@ -804,7 +814,7 @@ func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]flo
 				Action: "lanczos restart (fresh seed, full reorthogonalization)",
 				Err:    rerr,
 			})
-			dvals, duk, derr := t.denseEigAbove(ctx, stats.LambdaC)
+			dvals, dvt, derr := t.denseEigAbove(ctx, stats.LambdaC, resilience.StagePoleAnalysis)
 			if derr != nil {
 				if resilience.IsCancellation(derr) {
 					return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
@@ -820,7 +830,7 @@ func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]flo
 				Attempts: 3,
 				Reason:   attempts[0].Err.Error(),
 			})
-			vals, uk, res, lerr = dvals, duk, nil, nil
+			vals, vt, res, lerr = dvals, dvt, nil, nil
 		default:
 			lerr = rerr // cancellation or a hard failure on the retry
 		}
@@ -833,12 +843,12 @@ func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]flo
 	}
 	if res != nil {
 		vals = res.Values
-		uk = res.Vectors
+		vt = res.Vectors.T()
 		stats.LanczosIters = res.Iterations
 		stats.Reorths = res.Reorths
 		stats.PeakVectors = res.PeakVectors
 	}
-	rk, err := t.residueRows(ctx, uk, len(vals))
+	rk, err := t.residueRows(ctx, vt)
 	if err != nil {
 		return nil, nil, resilience.Canceled(resilience.StagePoleAnalysis, ctx)
 	}
@@ -851,43 +861,40 @@ func (t *Transformed) singlePointPoles(ctx context.Context, opts Options) ([]flo
 // stage names the back end in a cancellation error.
 func (t *Transformed) densePoles(ctx context.Context, stage resilience.Stage) ([]float64, *dense.Mat, error) {
 	t.stats.DenseEig = true
-	vals, uk, err := t.denseEigAbove(ctx, t.stats.LambdaC)
+	vals, vt, err := t.denseEigAbove(ctx, t.stats.LambdaC, stage)
 	if err != nil {
 		if resilience.IsCancellation(err) {
 			return nil, nil, resilience.Canceled(stage, ctx)
 		}
 		return nil, nil, err
 	}
-	rk, err := t.residueRows(ctx, uk, len(vals))
+	rk, err := t.residueRows(ctx, vt)
 	if err != nil {
 		return nil, nil, resilience.Canceled(stage, ctx)
 	}
 	return vals, rk, nil
 }
 
-// residueRows projects the first k columns U_k of an eigenvector basis
-// of E′ onto the connection block: R_k = U_kᵀR′ = Z_kᵀP with
-// Z_k = L⁻ᵀU_k and P = R − EX, assembled column by column as
-// R_k[c][j] = z_cᵀr_j − (E z_c)ᵀx_j. Both stages are independent per
-// column (k triangular solves, then m projection columns), so each fans
-// out across the pool with per-worker counters and scratch; every slot
-// is written by exactly one goroutine. The only error is ctx's.
-func (t *Transformed) residueRows(ctx context.Context, uk *dense.Mat, k int) (*dense.Mat, error) {
-	m, n := t.M, t.N
+// residueRows projects the eigenvectors of E′ in the rows of vt (k×n,
+// overwritten) onto the connection block: R_k = U_kᵀR′ = Z_kᵀP with
+// Z_k = L⁻ᵀU_k and P = R − EX, that is
+//
+//	R_k = Z_kᵀR − (EZ_k)ᵀX,
+//
+// the sparse columns of R against Z_k, less one blocked dense product of
+// EZ_k with the cached (or recomputed) columns of X. The product runs
+// over tiles of four eigenvector rows by two port columns, and every
+// entry sums its n terms in ascending order from zero, so each entry has
+// the bits of the plain dot product whatever the tiling. The solve, the
+// k products with E and the port tiles each fan out across the pool
+// with per-worker counters and scratch; every slot is written by exactly
+// one goroutine. The only error is ctx's.
+func (t *Transformed) residueRows(ctx context.Context, vt *dense.Mat) (*dense.Mat, error) {
+	m, n, k := t.M, t.N, vt.R
 	stats := t.stats
 	rk := dense.New(k, m)
 	if k == 0 {
 		return rk, nil
-	}
-	zk := make([][]float64, k)
-	ez := make([][]float64, k)
-	zback := make([]float64, k*n)
-	for c := 0; c < k; c++ {
-		z := zback[c*n : (c+1)*n]
-		for i := 0; i < n; i++ {
-			z[i] = uk.At(i, c)
-		}
-		zk[c] = z
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -895,35 +902,46 @@ func (t *Transformed) residueRows(ctx context.Context, uk *dense.Mat, k int) (*d
 	// Z_k = L⁻ᵀ U_k as one blocked transpose solve — bit-identical to
 	// k single LTSolve calls, but each factor panel streams once per
 	// solve chunk.
-	t.fact.LTSolveMulti(zback, k)
+	zk := vt.Data
+	t.fact.LTSolveMulti(zk, k)
 	stats.Solves += k
+	ez := make([]float64, k*n)
 	zwcs := make([]workCounters, par.Workers(k))
 	zerr := par.ForWorkersCtx(ctx, k, func(w, c int) {
-		e := make([]float64, n)
-		t.ep.MulVec(e, zk[c])
+		t.ep.MulVec(ez[c*n:(c+1)*n], zk[c*n:(c+1)*n])
 		zwcs[w].matVecs++
-		ez[c] = e
 	})
 	stats.merge(zwcs)
 	if zerr != nil {
 		return nil, zerr
 	}
-	workers := par.Workers(m)
+	tiles := (m + 1) / 2
+	workers := par.Workers(tiles)
 	wcs := make([]workCounters, workers)
-	xbufs := make([][]float64, workers)
-	for w := range xbufs {
-		xbufs[w] = make([]float64, n)
+	xbufs := make([][]float64, 2*workers) // nil buffers when X is cached
+	if !t.cacheX {
+		for w := range xbufs {
+			xbufs[w] = make([]float64, n)
+		}
 	}
-	perr := par.ForWorkersCtx(ctx, m, func(w, j int) {
-		x := t.columnX(j, xbufs[w], &wcs[w])
-		cols, vals := t.rpT.Row(j) // column j of permuted R
-		for c := 0; c < k; c++ {
-			s := 0.0
-			for p, i := range cols {
-				s += vals[p] * zk[c][i]
+	perr := par.ForWorkersCtx(ctx, tiles, func(w, tile int) {
+		j0 := 2 * tile
+		x0 := t.columnX(j0, xbufs[2*w], &wcs[w])
+		x1 := x0
+		if j0+1 < m {
+			x1 = t.columnX(j0+1, xbufs[2*w+1], &wcs[w])
+		}
+		residueTile(rk, ez, x0, x1, j0, j0+1 < m)
+		for j := j0; j < j0+2 && j < m; j++ {
+			cols, vals := t.rpT.Row(j) // column j of permuted R
+			for c := 0; c < k; c++ {
+				z := zk[c*n : (c+1)*n]
+				s := 0.0
+				for p, i := range cols {
+					s += vals[p] * z[i]
+				}
+				rk.Data[c*m+j] = s - rk.Data[c*m+j]
 			}
-			s -= sparse.Dot(ez[c], x)
-			rk.Set(c, j, s)
 		}
 	})
 	stats.merge(wcs)
@@ -931,6 +949,54 @@ func (t *Transformed) residueRows(ctx context.Context, uk *dense.Mat, k int) (*d
 		return nil, perr
 	}
 	return rk, nil
+}
+
+// residueTile writes (EZ_k)ᵀX for port columns j0 and, when two is set,
+// j0+1 into rk: rk[c][j] = Σᵢ ez[c][i]·x_j[i] for every row c of the
+// k×n block ez, four rows at a time so that each loaded entry of x0
+// and x1 serves four products. Each sum runs over i ascending from
+// zero, the order of the plain dot product.
+func residueTile(rk *dense.Mat, ez, x0, x1 []float64, j0 int, two bool) {
+	k, m := rk.R, rk.C
+	n := len(x0)
+	x1 = x1[:n]
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		e0 := ez[c*n : (c+1)*n]
+		e1 := ez[(c+1)*n : (c+2)*n]
+		e2 := ez[(c+2)*n : (c+3)*n]
+		e3 := ez[(c+3)*n : (c+4)*n]
+		var s00, s10, s20, s30, s01, s11, s21, s31 float64
+		for i, a := range x0 {
+			b := x1[i]
+			s00 += e0[i] * a
+			s10 += e1[i] * a
+			s20 += e2[i] * a
+			s30 += e3[i] * a
+			s01 += e0[i] * b
+			s11 += e1[i] * b
+			s21 += e2[i] * b
+			s31 += e3[i] * b
+		}
+		rk.Data[c*m+j0], rk.Data[(c+1)*m+j0] = s00, s10
+		rk.Data[(c+2)*m+j0], rk.Data[(c+3)*m+j0] = s20, s30
+		if two {
+			rk.Data[c*m+j0+1], rk.Data[(c+1)*m+j0+1] = s01, s11
+			rk.Data[(c+2)*m+j0+1], rk.Data[(c+3)*m+j0+1] = s21, s31
+		}
+	}
+	for ; c < k; c++ {
+		e0 := ez[c*n : (c+1)*n]
+		var s0, s1 float64
+		for i, a := range x0 {
+			s0 += e0[i] * a
+			s1 += e0[i] * x1[i]
+		}
+		rk.Data[c*m+j0] = s0
+		if two {
+			rk.Data[c*m+j0+1] = s1
+		}
+	}
 }
 
 // poleScores returns each pole's worst-case contribution to Y(s) over
@@ -1014,14 +1080,15 @@ func selectPoles(vals []float64, rk, a, b *dense.Mat, opts Options) (kept []floa
 }
 
 // denseEigAbove builds E′ explicitly by applying the operator to unit
-// vectors and solves the dense symmetric eigenproblem — the exact
-// reference path for small internal blocks, doubling as the
-// cross-validation of the Lanczos path. The n independent operator
-// columns fan out across the pool (each worker owns a stats-free E′
-// operator and its scratch); column j owns the mirrored pair writes for
-// i ≤ j, so E′ is constructionally symmetric and bit-identical at every
-// GOMAXPROCS. The QL eigensolve itself is inherently sequential.
-func (t *Transformed) denseEigAbove(ctx context.Context, cutoff float64) ([]float64, *dense.Mat, error) {
+// vectors and solves the dense symmetric eigenproblem for the
+// eigenpairs λ ≥ cutoff (symEigAbove) — the exact reference path for
+// small internal blocks, doubling as the cross-validation of the Lanczos
+// path. The n independent operator columns fan out across the pool
+// (each worker owns a stats-free E′ operator and its scratch); column j
+// owns the mirrored pair writes for i ≤ j, so E′ is constructionally
+// symmetric and bit-identical at every GOMAXPROCS. The eigensolve itself
+// is sequential. stage names the back end in a recorded Recovery.
+func (t *Transformed) denseEigAbove(ctx context.Context, cutoff float64, stage resilience.Stage) ([]float64, *dense.Mat, error) {
 	n := t.N
 	eMat := dense.New(n, n)
 	workers := par.Workers(n)
@@ -1047,39 +1114,35 @@ func (t *Transformed) denseEigAbove(ctx context.Context, cutoff float64) ([]floa
 		return nil, nil, fmt.Errorf("core: dense eigenpath canceled: %w", err)
 	}
 	t.stats.MatVecs += n
-	vals, vecs, err := symEigAbove(eMat, cutoff)
+	vals, vt, err := symEigAbove(eMat, cutoff, t.stats, stage)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: dense eigensolve of E′: %w", err)
 	}
-	return vals, vecs, nil
+	return vals, vt, nil
 }
 
-// symEigAbove solves the dense symmetric eigenproblem of a and keeps the
-// eigenvalues ≥ cutoff, descending, with their eigenvectors as the
-// columns of the returned matrix. E′ (denseEigAbove) and the projected
-// multi-point pencil Ê share it, so both keep the same poles for the
-// same spectrum.
-func symEigAbove(a *dense.Mat, cutoff float64) ([]float64, *dense.Mat, error) {
-	n := a.R
-	vals, vecs, err := dense.SymEig(a, true)
+// symEigAbove solves the dense symmetric eigenproblem of a (destroyed)
+// for the eigenvalues ≥ cutoff, descending, with their eigenvectors as
+// the rows of the returned matrix (dense.SymEigAbove). E′
+// (denseEigAbove) and the projected multi-point pencil Ê share it, so
+// both keep the same poles for the same spectrum. An inverse iteration
+// that fails to converge makes dense.SymEigAbove finish the full
+// eigensolve instead; that is exact, and recorded in stats as a
+// Recovery of stage.
+func symEigAbove(a *dense.Mat, cutoff float64, stats *Stats, stage resilience.Stage) ([]float64, *dense.Mat, error) {
+	vals, vt, fallback, err := dense.SymEigAbove(a, cutoff)
 	if err != nil {
 		return nil, nil, err
 	}
-	var keep []int
-	for i := n - 1; i >= 0; i-- {
-		if vals[i] >= cutoff {
-			keep = append(keep, i)
-		}
+	if fallback != nil {
+		stats.Recoveries = append(stats.Recoveries, resilience.Recovery{
+			Stage:    stage,
+			Action:   "full dense eigensolve",
+			Attempts: 2,
+			Reason:   fallback.Error(),
+		})
 	}
-	outVals := make([]float64, len(keep))
-	uk := dense.New(n, len(keep))
-	for c, idx := range keep {
-		outVals[c] = vals[idx]
-		for i := 0; i < n; i++ {
-			uk.Set(i, c, vecs.At(i, idx))
-		}
-	}
-	return outVals, uk, nil
+	return vals, vt, nil
 }
 
 func denseFromCSR(a *sparse.CSR, m int) *dense.Mat {

@@ -1,6 +1,7 @@
 package dense_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dense"
@@ -101,13 +102,71 @@ func benchSym(n int) *dense.Mat {
 }
 
 func BenchmarkSymEig(b *testing.B) {
+	wide, _ := wideBandEPrime(b)
+	for _, m := range []struct {
+		name string
+		a    *dense.Mat
+	}{{"clustered", benchSym(eigN)}, {"wideband", wide}} {
+		b.Run(m.name, func(b *testing.B) {
+			work := dense.New(eigN, eigN)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(work.Data, m.a.Data)
+				if _, _, err := dense.SymEig(work); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSymEigAbove times the selected-pair solve at n = 320 on two
+// matrices: E′ of the 256-port wide-band bench itself, whose λ_c keeps
+// k = 119 (BenchmarkSymEig/wideband is the full solve it replaces), and
+// BenchmarkSymEig's matrix, whose eigenvalues crowd into one cluster at
+// dstein's tolerance, so every vector is reorthogonalized against its
+// neighbours — the worst case of inverse iteration. k = n selects every
+// pair.
+func BenchmarkSymEigAbove(b *testing.B) {
+	wide, wideC := wideBandEPrime(b)
+	clustered := benchSym(eigN)
+	vals, err := dense.SymEigValues(clustered.Clone())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		a      *dense.Mat
+		cutoff float64
+	}{
+		{"wideband/k=119", wide, wideC},
+		{"wideband/k=320", wide, math.Inf(-1)},
+		{"clustered/k=119", clustered, vals[eigN-119]},
+		{"clustered/k=320", clustered, math.Inf(-1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			work := dense.New(eigN, eigN)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(work.Data, bc.a.Data)
+				if _, _, fb, err := dense.SymEigAbove(work, bc.cutoff); err != nil || fb != nil {
+					b.Fatal(err, fb)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkSymEigValues(b *testing.B) {
 	src := benchSym(eigN)
 	work := dense.New(eigN, eigN)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work.Data, src.Data)
-		if _, _, err := dense.SymEig(work, true); err != nil {
+		if _, err := dense.SymEigValues(work); err != nil {
 			b.Fatal(err)
 		}
 	}

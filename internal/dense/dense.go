@@ -200,7 +200,7 @@ func Cholesky(a *Mat) error {
 // its smallest eigenvalue must exceed -tol*scale. This is the passivity
 // check from Section 3 of the paper.
 func IsNonNegDefinite(a *Mat, tol float64) bool {
-	vals, _, err := SymEig(a.Clone(), false)
+	vals, err := SymEigValues(a.Clone())
 	if err != nil {
 		return false
 	}

@@ -68,7 +68,7 @@ func TestSymEigReconstruction(t *testing.T) {
 		n := 1 + rng.Intn(25)
 		a := randomSym(rng, n)
 		orig := a.Clone()
-		vals, vecs, err := SymEig(a, true)
+		vals, vecs, err := SymEig(a)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -110,7 +110,7 @@ func TestSymEigKnownValues(t *testing.T) {
 	t.Parallel()
 	// [[2,1],[1,2]] has eigenvalues 1 and 3.
 	a := NewFromRows([][]float64{{2, 1}, {1, 2}})
-	vals, _, err := SymEig(a, true)
+	vals, _, err := SymEig(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSymEigRepeatedEigenvalues(t *testing.T) {
 		{0, 2, 0},
 		{0, 0, 5},
 	})
-	vals, vecs, err := SymEig(a, true)
+	vals, vecs, err := SymEig(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestSymEigTraceProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			trace += a.At(i, i)
 		}
-		vals, _, err := SymEig(a, false)
+		vals, err := SymEigValues(a)
 		if err != nil {
 			return false
 		}

@@ -7,16 +7,16 @@ import (
 
 // SymEig computes the eigendecomposition of the symmetric matrix a:
 // a = V diag(vals) Vᵀ with eigenvalues sorted ascending and eigenvectors
-// in the columns of V. The input matrix is destroyed. When wantVecs is
-// false the returned matrix is nil (the work is still O(n³) but with a
-// smaller constant since no accumulation correctness is needed by
-// callers).
+// in the columns of V. The input matrix is destroyed. Callers that need
+// only the eigenvalues use SymEigValues, and callers that need only the
+// eigenpairs above a cutoff use SymEigAbove; both return eigenvalues
+// bit-identical to SymEig's.
 //
 // The implementation is the classic EISPACK pair: Householder
 // tridiagonalization (tred2) followed by implicit-shift QL iteration
 // (tql2), both run on the transpose Vᵀ so that every inner loop walks a
 // contiguous row (see transposeSquare).
-func SymEig(a *Mat, wantVecs bool) (vals []float64, vecs *Mat, err error) {
+func SymEig(a *Mat) (vals []float64, vecs *Mat, err error) {
 	if a.R != a.C {
 		return nil, nil, fmt.Errorf("dense: SymEig requires square matrix, got %dx%d", a.R, a.C)
 	}
@@ -30,15 +30,39 @@ func SymEig(a *Mat, wantVecs bool) (vals []float64, vecs *Mat, err error) {
 	// transpose makes tred2 read the same triangle of a not bitwise
 	// symmetric input as the column layout would.
 	transposeSquare(a)
-	tred2(a, d, e)
+	tred2Reduce(a, d, e)
+	tred2Accumulate(a, d, e)
 	if err := tql2(a, d, e); err != nil {
 		return nil, nil, err
 	}
-	if !wantVecs {
-		return d, nil, nil
-	}
 	transposeSquare(a)
 	return d, a, nil
+}
+
+// SymEigValues returns the eigenvalues of the symmetric matrix a,
+// ascending, destroying a. It runs tred2's reduction without
+// accumulating the transform and tql2 without rotating vectors: tred2
+// fixes the tridiagonal before its accumulation phase starts, and tql2's
+// d/e recursion never reads the vectors, so every eigenvalue is
+// Float64bits-identical to SymEig's, in about a fifth of SymEig's time
+// at n = 320 (BenchmarkSymEigValues).
+func SymEigValues(a *Mat) ([]float64, error) {
+	if a.R != a.C {
+		return nil, fmt.Errorf("dense: SymEigValues requires square matrix, got %dx%d", a.R, a.C)
+	}
+	n := a.R
+	if n == 0 {
+		return nil, nil
+	}
+	d := make([]float64, n)
+	e := make([]float64, n)
+	transposeSquare(a)
+	tred2Reduce(a, d, e)
+	tridiagOf(a, d, e)
+	if err := tql2(nil, d, e); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // TridiagEig computes the full eigensystem of the symmetric tridiagonal
@@ -85,13 +109,19 @@ func transposeSquare(m *Mat) {
 	}
 }
 
-// tred2 reduces the symmetric matrix to tridiagonal form by Householder
-// similarity transformations. w holds the transpose of the input
-// (w(j, k) = a(k, j)) and receives the transpose Vᵀ of the orthogonal
-// transform. On return d holds the diagonal and e[1..n-1] the
-// subdiagonal (e[0] = 0). Ported from the EISPACK/JAMA routine, with
-// every v(k, j) read as w(j, k).
-func tred2(w *Mat, d, e []float64) {
+// tred2Reduce is the reduction phase of tred2: it reduces the symmetric
+// matrix to tridiagonal form by Householder similarity transformations
+// without accumulating them. w holds the transpose of the input
+// (w(j, k) = a(k, j)). On return e[1..n-1] holds the subdiagonal, the
+// diagonal of w the diagonal, row i of w (columns 0..i-1) the Householder
+// vector uᵢ of step i and d[i] its scalar hᵢ (i ≥ 1), so that
+//
+//	Q = Hₙ₋₁·…·H₂·H₁ (applied to a vector: H₁ first),
+//	Hᵢ = I − uᵢuᵢᵀ/hᵢ acting on coordinates 0..i-1 (identity when hᵢ = 0),
+//
+// gives a = Q T Qᵀ. Ported from the EISPACK/JAMA routine, with every
+// v(k, j) read as w(j, k).
+func tred2Reduce(w *Mat, d, e []float64) {
 	n := w.R
 	a := w.Data
 	for j := 0; j < n; j++ {
@@ -126,8 +156,37 @@ func tred2(w *Mat, d, e []float64) {
 			for j := 0; j < i; j++ {
 				e[j] = 0
 			}
+			// e = W·d over the upper triangle of rows 0..i-1, two rows per
+			// pass: every e[k] still receives row j's term before row
+			// j+1's, and each g sums its row in column order, so the bits
+			// are those of the one-row loop.
 			wi := a[i*n : i*n+i]
-			for j := 0; j < i; j++ {
+			j := 0
+			for ; j+1 < i; j += 2 {
+				f0, f1 := d[j], d[j+1]
+				wi[j], wi[j+1] = f0, f1
+				w0 := a[j*n : j*n+i]
+				w1 := a[(j+1)*n : (j+1)*n+i]
+				g0 := e[j] + w0[j]*f0
+				x := w0[j+1]
+				g0 += x * d[j+1]
+				e[j+1] += x * f0
+				g1 := e[j+1] + w1[j+1]*f1
+				x0s, x1s := w0[j+2:], w1[j+2:]
+				dk, ek := d[j+2:i], e[j+2:i]
+				x1s, dk, ek = x1s[:len(x0s)], dk[:len(x0s)], ek[:len(x0s)]
+				for k, x0 := range x0s {
+					x1 := x1s[k]
+					g0 += x0 * dk[k]
+					g1 += x1 * dk[k]
+					t := ek[k]
+					t += x0 * f0
+					t += x1 * f1
+					ek[k] = t
+				}
+				e[j], e[j+1] = g0, g1
+			}
+			for ; j < i; j++ {
 				f = d[j]
 				wi[j] = f
 				wj := a[j*n : j*n+i]
@@ -150,7 +209,27 @@ func tred2(w *Mat, d, e []float64) {
 			for j := 0; j < i; j++ {
 				e[j] -= hh * d[j]
 			}
-			for j := 0; j < i; j++ {
+			// The rank-2 update W −= d·eᵀ + e·dᵀ, two rows per pass. Row j
+			// reads d[j+1] before row j+1 replaces it, as in the one-row
+			// loop.
+			j = 0
+			for ; j+1 < i; j += 2 {
+				f0, g0 := d[j], e[j]
+				f1, g1 := d[j+1], e[j+1]
+				w0 := a[j*n : j*n+i]
+				w1 := a[(j+1)*n : (j+1)*n+i]
+				w0[j] += -(f0*e[j] + g0*d[j])
+				x0s, x1s := w0[j+1:], w1[j+1:]
+				dk, ek := d[j+1:i], e[j+1:i]
+				x1s, dk, ek = x1s[:len(x0s)], dk[:len(x0s)], ek[:len(x0s)]
+				for k := range x0s {
+					x0s[k] += -(f0*ek[k] + g0*dk[k])
+					x1s[k] += -(f1*ek[k] + g1*dk[k])
+				}
+				d[j], d[j+1] = w0[i-1], w1[i-1]
+				a[j*n+i], a[(j+1)*n+i] = 0, 0
+			}
+			for ; j < i; j++ {
 				f = d[j]
 				g = e[j]
 				wj := a[j*n : j*n+i]
@@ -166,7 +245,27 @@ func tred2(w *Mat, d, e []float64) {
 		}
 		d[i] = h
 	}
-	// Accumulate transformations.
+}
+
+// tridiagOf copies the diagonal tred2Reduce left in w into d and clears
+// e[0], completing T in tql2's layout: the same values tred2Accumulate
+// moves into d, so a solve without accumulation sees the bits SymEig's
+// does.
+func tridiagOf(w *Mat, d, e []float64) {
+	n := w.R
+	for j := 0; j < n; j++ {
+		d[j] = w.Data[j*n+j]
+	}
+	e[0] = 0
+}
+
+// tred2Accumulate is the accumulation phase of tred2: from the state
+// tred2Reduce leaves, it builds the transpose Vᵀ of the orthogonal
+// transform in w and moves the diagonal into d (e[0] = 0). Its writes
+// never reach the diagonal entries tridiagOf reads before it moves them.
+func tred2Accumulate(w *Mat, d, e []float64) {
+	n := w.R
+	a := w.Data
 	for i := 0; i < n-1; i++ {
 		a[i*n+n-1] = a[i*n+i]
 		a[i*n+i] = 1
@@ -205,11 +304,16 @@ func tred2(w *Mat, d, e []float64) {
 // subdiagonal e[1..n-1]) by the implicit-shift QL algorithm, accumulating
 // rotations into w, which holds the transpose of the eigenvector matrix.
 // On return d holds the eigenvalues ascending and the rows of w the
-// eigenvectors. Ported from the EISPACK/JAMA routine, with every column
-// of v read as a row of w.
+// eigenvectors. A nil w skips the rotations and the sort's row swaps;
+// the d/e recursion never reads w, so the eigenvalues are the same bits.
+// Ported from the EISPACK/JAMA routine, with every column of v read as a
+// row of w.
 func tql2(w *Mat, d, e []float64) error {
 	n := len(d)
-	a := w.Data
+	var a []float64
+	if w != nil {
+		a = w.Data
+	}
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -263,6 +367,9 @@ func tql2(w *Mat, d, e []float64) error {
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
+					if a == nil {
+						continue
+					}
 					wi := a[i*n : i*n+n]
 					wi1 := a[(i+1)*n : (i+1)*n+n]
 					wi = wi[:len(wi1)]
@@ -298,6 +405,9 @@ func tql2(w *Mat, d, e []float64) error {
 		if k != i {
 			d[k] = d[i]
 			d[i] = p
+			if a == nil {
+				continue
+			}
 			wi := a[i*n : i*n+n]
 			wk := a[k*n : k*n+n]
 			for r := range wi {

@@ -14,7 +14,7 @@ import (
 // golden corpus pins the realized decks byte for byte.
 
 // symEigRef is SymEig on the column-layout reference routines.
-func symEigRef(a *Mat, wantVecs bool) ([]float64, *Mat, error) {
+func symEigRef(a *Mat) ([]float64, *Mat, error) {
 	n := a.R
 	if n == 0 {
 		return nil, New(0, 0), nil
@@ -24,9 +24,6 @@ func symEigRef(a *Mat, wantVecs bool) ([]float64, *Mat, error) {
 	tred2Ref(a, d, e)
 	if err := tql2Ref(a, d, e); err != nil {
 		return nil, nil, err
-	}
-	if !wantVecs {
-		return d, nil, nil
 	}
 	return d, a, nil
 }
@@ -321,28 +318,37 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 
 func TestSymEigOracleBits(t *testing.T) {
 	for _, tc := range eigOracleCases() {
-		for _, wantVecs := range []bool{true, false} {
-			n := tc.a.R
-			vals, vecs, err := SymEig(tc.a.Clone(), wantVecs)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", tc.name, n, err)
-			}
-			rvals, rvecs, err := symEigRef(tc.a.Clone(), wantVecs)
-			if err != nil {
-				t.Fatalf("%s n=%d: reference: %v", tc.name, n, err)
-			}
-			requireSameBits(t, tc.name+" values", vals, rvals)
-			if !wantVecs {
-				if vecs != nil {
-					t.Fatalf("%s n=%d: wantVecs=false returned vectors", tc.name, n)
-				}
-				continue
-			}
-			if vecs.R != n || vecs.C != n {
-				t.Fatalf("%s n=%d: vectors are %dx%d", tc.name, n, vecs.R, vecs.C)
-			}
-			requireSameBits(t, tc.name+" vectors", vecs.Data, rvecs.Data)
+		n := tc.a.R
+		vals, vecs, err := SymEig(tc.a.Clone())
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", tc.name, n, err)
 		}
+		rvals, rvecs, err := symEigRef(tc.a.Clone())
+		if err != nil {
+			t.Fatalf("%s n=%d: reference: %v", tc.name, n, err)
+		}
+		requireSameBits(t, tc.name+" values", vals, rvals)
+		if vecs.R != n || vecs.C != n {
+			t.Fatalf("%s n=%d: vectors are %dx%d", tc.name, n, vecs.R, vecs.C)
+		}
+		requireSameBits(t, tc.name+" vectors", vecs.Data, rvecs.Data)
+	}
+}
+
+// TestSymEigValuesOracleBits pins the values-only solve to the reference
+// pair: the reduction without accumulation and QL without rotations
+// must return every eigenvalue bit for bit.
+func TestSymEigValuesOracleBits(t *testing.T) {
+	for _, tc := range eigOracleCases() {
+		vals, err := SymEigValues(tc.a.Clone())
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", tc.name, tc.a.R, err)
+		}
+		rvals, _, err := symEigRef(tc.a.Clone())
+		if err != nil {
+			t.Fatalf("%s n=%d: reference: %v", tc.name, tc.a.R, err)
+		}
+		requireSameBits(t, tc.name+" values", vals, rvals)
 	}
 }
 

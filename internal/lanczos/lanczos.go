@@ -186,6 +186,7 @@ func FindAboveCtx(ctx context.Context, op Operator, opts Options) (*Result, erro
 			if err != nil {
 				return nil, err
 			}
+			fres.Iterations += res.Iterations
 			fres.MatVecs += res.MatVecs
 			fres.Reorths += res.Reorths
 			return fres, nil

@@ -41,7 +41,7 @@ func randomNND(rng *rand.Rand, n int, spectrum []float64) (*dense.Mat, []float64
 			s.Set(j, i, v)
 		}
 	}
-	_, q, err := dense.SymEig(s, true)
+	_, q, err := dense.SymEig(s)
 	if err != nil {
 		panic(err)
 	}
@@ -315,6 +315,40 @@ func bitsKey(v []float64) string {
 	return string(b)
 }
 
+// classifyInputs splits the inputs rec saw into Lanczos steps and
+// certifications. A certification applies the operator to a Ritz vector
+// the run is about to keep, which is an eigenvector to within the
+// convergence tolerance, while a Lanczos vector mixes many eigenvectors:
+// inputs whose Rayleigh residual ‖Av − (vᵀAv)v‖ is below tol are
+// certifications. A run starts at the start vector, so each input
+// bit-identical to the first begins a run; runs counts them.
+func classifyInputs(rec *recordOp, tol float64) (steps, certs, runs int) {
+	n := rec.Dim()
+	av := make([]float64, n)
+	for _, key := range rec.inputs {
+		if key == rec.inputs[0] {
+			runs++
+		}
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64([]byte(key[8*i:])))
+		}
+		rec.Operator.Apply(av, v)
+		theta := dot(v, av)
+		r := 0.0
+		for i := range av {
+			d := av[i] - theta*v[i]
+			r += d * d
+		}
+		if math.Sqrt(r) <= tol {
+			certs++
+		} else {
+			steps++
+		}
+	}
+	return steps, certs, runs
+}
+
 // appliedOnce runs LASO on op through a recordOp and checks that every
 // returned Ritz vector reached the operator exactly once. It returns the
 // result, the record, and the index in the record of each returned
@@ -384,7 +418,8 @@ func TestFindAboveCertifiesEachPairOnce(t *testing.T) {
 	// Selective mode the uncertified second copy keeps shedding ghosts
 	// until the Krylov space is exhausted and the run is redone in Full
 	// mode, so the copy is certified by the Full run's finish, which the
-	// Full-mode run below checks in isolation.
+	// Full-mode run below checks in isolation. The default-mode run must
+	// still count every step and application of both runs.
 	rng = rand.New(rand.NewSource(7))
 	spectrum := make([]float64, 40)
 	for i := range spectrum {
@@ -394,8 +429,18 @@ func TestFindAboveCertifiesEachPairOnce(t *testing.T) {
 	spectrum[2] = 2
 	a, _ := randomNND(rng, 40, spectrum)
 	op := denseOp{a}
-	res, _, _ := appliedOnce(t, op, Options{Cutoff: 1.0})
+	res, rec, _ := appliedOnce(t, op, Options{Cutoff: 1.0})
 	checkEigenpairs(t, op, res, []float64{3, 3, 2}, 1e-6)
+	// The redo's counts include the discarded run's: every recorded input
+	// is a Lanczos step of one of the two runs or a certification.
+	steps, certs, runs := classifyInputs(rec, 1e-6)
+	if runs != 2 {
+		t.Fatalf("default-mode run made %d Lanczos runs, want the Selective run and its Full redo", runs)
+	}
+	if res.Iterations != steps || res.MatVecs != res.Iterations+certs {
+		t.Fatalf("Iterations %d, MatVecs %d; the operator saw %d Lanczos steps and %d certifications",
+			res.Iterations, res.MatVecs, steps, certs)
+	}
 	res, rec, at := appliedOnce(t, op, Options{Cutoff: 1.0, Mode: Full})
 	checkEigenpairs(t, op, res, []float64{3, 3, 2}, 1e-6)
 	onePass(t, res)

@@ -124,7 +124,7 @@ func Reduce(sys *core.System, q int, opts core.Options) (*core.ReducedModel, *St
 
 	// Diagonalize the projected pencil into pole/residue form compatible
 	// with core.ReducedModel.
-	vals, vecs, err := dense.SymEig(eTilde.Clone(), true)
+	vals, vecs, err := dense.SymEig(eTilde.Clone())
 	if err != nil {
 		return nil, nil, fmt.Errorf("pade: projected eigensolve: %w", err)
 	}

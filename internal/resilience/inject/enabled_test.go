@@ -113,19 +113,19 @@ func TestFromSeedReproducible(t *testing.T) {
 }
 
 // TestCatalogPinsCount pins the size and membership of the injection
-// catalog: fourteen points, one per documented site. Adding a point
+// catalog: fifteen points, one per documented site. Adding a point
 // without extending Catalog() (and the DESIGN.md §9 table plus a seeded
 // sweep) fails here.
 func TestCatalogPinsCount(t *testing.T) {
 	cat := Catalog()
-	if len(cat) != 14 {
-		t.Fatalf("catalog has %d points, want 14 (update Catalog, DESIGN.md §9 and the seeded sweeps)", len(cat))
+	if len(cat) != 15 {
+		t.Fatalf("catalog has %d points, want 15 (update Catalog, DESIGN.md §9 and the seeded sweeps)", len(cat))
 	}
 	want := map[Point]bool{
 		CholPivot: true, CholPoison: true, CholComplexPivot: true, CholDAGTask: true,
 		LanczosIter: true, NewtonIter: true, SimSparseLUPivot: true, SimACComplexSolve: true,
 		ParItem: true, SvcAdmit: true, SvcCacheStore: true, SvcFlightLeader: true,
-		MPShiftFactor: true, StampAssemble: true,
+		MPShiftFactor: true, StampAssemble: true, DenseInvIter: true,
 	}
 	for _, p := range cat {
 		if !want[p] {

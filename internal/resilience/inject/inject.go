@@ -91,6 +91,12 @@ const (
 	// is the error reported, so drilling this point under -race proves
 	// the bucketed assembly drains deterministically on failure.
 	StampAssemble Point = "stamp.assemble"
+	// DenseInvIter fails the inverse iteration of selected eigenvalue q
+	// (ascending among the kept ones) in dense.SymEigAbove, as if it had
+	// missed the convergence test after its five solves: the call must
+	// finish the full SymEig solve instead and report the fallback, which
+	// the pole analysis records as a Recovery.
+	DenseInvIter Point = "dense.inviter"
 )
 
 // Catalog lists every injection point in the pipeline, in the
@@ -102,7 +108,7 @@ func Catalog() []Point {
 		CholPivot, CholPoison, CholComplexPivot, CholDAGTask,
 		LanczosIter, NewtonIter, SimSparseLUPivot, SimACComplexSolve,
 		ParItem, SvcAdmit, SvcCacheStore, SvcFlightLeader,
-		MPShiftFactor, StampAssemble,
+		MPShiftFactor, StampAssemble, DenseInvIter,
 	}
 }
 

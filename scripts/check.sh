@@ -44,7 +44,9 @@ leg "parallel-core race leg (pactcheck + -race on the pool-driven packages)"
 # internal/chol rides along for the DAG-schedule determinism pins and
 # the chol.dag.task drain-and-report path under the race detector;
 # internal/sparse for the bit-identity pins of Build's pooled row
-# chunks (the one triplet->CSR path) and of the permutations.
+# chunks (the one triplet->CSR path) and of the permutations. The
+# internal/dense run includes the selected-pair eigen oracle, the
+# values bit pin and, with pactcheck, the dense.inviter fallback drill.
 go test -race -tags pactcheck ./internal/par/ ./internal/core/ ./internal/dense/ \
     ./internal/chol/ ./internal/sparse/
 
@@ -74,8 +76,14 @@ leg "multipoint-oracle leg (multi-expansion-point vs dense Y(s) oracle, run twic
 # slowest-first pole cap strictly. The whole-space rule's bit pin
 # against single-point dense and the selector's bit pin against the
 # strongest-then-prune composition it replaced ride along; -count=2
-# defeats the test cache so the pins run fresh on every push.
+# defeats the test cache so the pins run fresh on every push. Both back
+# ends take their poles from dense.SymEigAbove, so its oracle runs here
+# too: the selected pairs against SymEig (values Float64bits-equal,
+# vectors within residual, orthogonality and subspace bounds, on random,
+# graded, repeated and near-degenerate spectra and on the clock-tree and
+# wide-band E′) and the values-only solve's bit pin.
 go test ./internal/core/ -run 'MultiPointOracle|MultiPointWholeSpaceShortcut|SelectPolesMatchesStrongestThenPrune' -count=2
+go test ./internal/dense/ -run 'SymEigAbove|SymEigValuesOracleBits' -count=2
 
 leg "pole-analysis leg (LASO certification and stop rule, pole count vs dense pencil, run twice)"
 # LASO certifies each Ritz pair once and stops on a margin after its last
@@ -134,11 +142,13 @@ go -C perfbench test ./...
 
 leg "kernel benchmarks (one iteration each)"
 # The dense panel kernels and eigensolver, chol factor/solve, AMD fill,
-# pool overhead and deck writer benchmarks run once each, so a broken
+# pool overhead and deck writer benchmarks, and the dense pole-analysis
+# benchmark of internal/core, run once each, so a broken
 # benchmark fails here rather than in a measurement session. End-to-end
 # performance is perfbench's (see perfbench/README.md).
 go test -run '^$' -bench . -benchtime 1x ./internal/chol/ ./internal/dense/ ./internal/order/ ./internal/par/ \
     ./internal/netlist/
+go test -run '^$' -bench DensePoles -benchtime 1x ./internal/core/
 
 leg "fuzz smoke (10s per target)"
 # go test rejects a -fuzz pattern matching several targets, so run them
