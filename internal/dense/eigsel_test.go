@@ -13,24 +13,15 @@ import (
 // vectors up to sign (isolated eigenvalues) or as invariant-subspace
 // projectors (clusters), within bounds scaled by the spectral gap.
 
-// selCase is one matrix of the selected-pair suite.
-type selCase struct {
-	name string
-	a    *Mat
-}
-
 // selCases extends the bit-oracle suite with the spectra inverse
 // iteration finds hardest: graded spectra over many decades, disjoint
 // copies of one block (every eigenvalue repeated, T split into
 // decoupled blocks), and a near-degenerate pair.
-func selCases() []selCase {
-	var cases []selCase
-	for _, tc := range eigOracleCases() {
-		cases = append(cases, selCase{tc.name, tc.a})
-	}
+func selCases() []eigCase {
+	cases := eigOracleCases()
 	rng := rand.New(rand.NewSource(3101))
 	for _, n := range []int{24, 96} {
-		cases = append(cases, selCase{"graded", withSpectrum(rng, gradedSpectrum(n, 12))})
+		cases = append(cases, eigCase{"graded", withSpectrum(rng, gradedSpectrum(n, 12))})
 	}
 	for _, n := range []int{8, 40} {
 		b := randomSym(rng, n)
@@ -41,11 +32,11 @@ func selCases() []selCase {
 				a.Set(n+i, n+j, b.At(i, j))
 			}
 		}
-		cases = append(cases, selCase{"disjoint-copies", a})
+		cases = append(cases, eigCase{"disjoint-copies", a})
 	}
 	spec := gradedSpectrum(48, 6)
 	spec[47] = spec[46] * (1 + 1e-11)
-	cases = append(cases, selCase{"near-degenerate", withSpectrum(rng, spec)})
+	cases = append(cases, eigCase{"near-degenerate", withSpectrum(rng, spec)})
 	return cases
 }
 
@@ -96,8 +87,10 @@ func selCutoffs(vals []float64) []float64 {
 	return cuts
 }
 
-// verifySelected checks SymEigAbove(a, cutoff) against SymEig(a).
-func verifySelected(t *testing.T, name string, a *Mat, cutoff float64) {
+// VerifySelected checks SymEigAbove(a, cutoff) against SymEig(a). It is
+// exported to the external tests that build their matrices from
+// generated circuits.
+func VerifySelected(t *testing.T, name string, a *Mat, cutoff float64) {
 	t.Helper()
 	n := a.R
 	allVals, allVecs, err := SymEig(a.Clone())
@@ -216,7 +209,7 @@ func TestSymEigAboveOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cut := range selCutoffs(vals) {
-			verifySelected(t, tc.name, tc.a, cut)
+			VerifySelected(t, tc.name, tc.a, cut)
 		}
 	}
 }
@@ -243,11 +236,4 @@ func TestSymEigAboveDeterministic(t *testing.T) {
 	}
 	requireSameBits(t, "values", v1, v2)
 	requireSameBits(t, "vectors", u1.Data, u2.Data)
-}
-
-// VerifySelected exposes the selected-pair oracle to the external tests
-// that build their fixtures from generated circuits.
-func VerifySelected(t *testing.T, name string, a *Mat, cutoff float64) {
-	t.Helper()
-	verifySelected(t, name, a, cutoff)
 }
